@@ -2,13 +2,13 @@
  * @file
  * bench_trace_overhead — measure what the tracing layer costs.
  *
- * Runs the same tuneWithPlans workload four ways: everything
- * disabled (every TraceSpan reduces to one relaxed atomic load),
- * tracing globally enabled, per-request tracing via a TraceContext,
- * and the always-on flight recorder with a per-request FlightScope
- * (the speculative-recording path every served request takes).
- * The flight-recorder overhead is the number CI gates: it must stay
- * under 5% so speculative recording can stay on permanently.
+ * Runs the same tuneWithPlans workload three ways: everything off
+ * (no request scope, record-all off: every TraceSpan reduces to a
+ * thread-local read and one relaxed atomic load), record-all on
+ * (what `--trace-out` does), and one FlightScope per run (the
+ * speculative-recording path every served request takes). The
+ * flight overhead is the number CI gates: it must stay under 5% so
+ * speculative recording can stay on permanently.
  */
 
 #include <algorithm>
@@ -24,7 +24,6 @@
 #include "ops/operators.hh"
 #include "support/flight_recorder.hh"
 #include "support/logging.hh"
-#include "support/trace.hh"
 
 using namespace amos;
 
@@ -95,47 +94,34 @@ main()
     // Warm-up: touch every code path once before timing.
     tuneOnce(plans, hw, options);
 
-    double off = run(
-        "everything off",
-        [] { FlightRecorder::global().setEnabled(false); },
-        [] { FlightRecorder::global().setEnabled(true); });
+    FlightRecorder &recorder = FlightRecorder::global();
+    double off = run("everything off", [] {}, [] {});
     double on = run(
-        "tracing on (global)",
-        [] { Tracer::global().setEnabled(true); },
-        [] {
-            Tracer::global().setEnabled(false);
-            Tracer::global().clear();
-        });
-    std::vector<std::unique_ptr<TraceContext>> ctx;
-    double per_request = run(
-        "per-request context",
-        [&] { ctx.push_back(std::make_unique<TraceContext>("b")); },
+        "record-all (global)", [&] { recorder.setRecordAll(true); },
         [&] {
-            ctx.clear();
-            Tracer::global().releaseTrace("b");
+            recorder.setRecordAll(false);
+            recorder.clear();
         });
-    // The serving path: recorder on (the default), one FlightScope
-    // per request, spans land in the per-thread rings.
+    // The serving path: one FlightScope per request, spans land in
+    // the per-thread rings.
     std::unique_ptr<FlightScope> scope;
     double flight = run(
         "flight recorder",
         [&] {
             scope = std::make_unique<FlightScope>(
-                FlightRecorder::global().beginRequest());
+                recorder.beginRequest());
         },
         [&] {
             scope.reset();
-            FlightRecorder::global().clear();
+            recorder.clear();
         });
 
-    std::printf("\noverhead: global %+.1f%%, per-request %+.1f%%, "
-                "flight %+.1f%%\n",
+    std::printf("\noverhead: global %+.1f%%, flight %+.1f%%\n",
                 (on / off - 1.0) * 100.0,
-                (per_request / off - 1.0) * 100.0,
                 (flight / off - 1.0) * 100.0);
     std::printf("acceptance: flight-recorder overhead must stay "
-                "< 5%% (gated in CI); the enabled tracer figures "
-                "bound the opt-in worst case\n");
+                "< 5%% (gated in CI); the record-all figure bounds "
+                "the opt-in --trace-out case\n");
 
     bench::BenchReport report("trace_overhead", kRounds);
     report.setConfig("workload",
@@ -144,12 +130,9 @@ main()
     report.setConfig("threads", Json(4));
     report.setMetric("off_ms", Json(off));
     report.setMetric("global_ms", Json(on));
-    report.setMetric("per_request_ms", Json(per_request));
     report.setMetric("flight_ms", Json(flight));
     report.setMetric("global_overhead_pct",
                      Json((on / off - 1.0) * 100.0));
-    report.setMetric("per_request_overhead_pct",
-                     Json((per_request / off - 1.0) * 100.0));
     report.setMetric("flight_overhead_pct",
                      Json((flight / off - 1.0) * 100.0));
     // Runs/second views so check_regression.py's *_eps gate covers

@@ -70,7 +70,6 @@
 #include "report/explain.hh"
 #include "serve/protocol.hh"
 #include "support/flight_recorder.hh"
-#include "support/trace.hh"
 
 namespace {
 
@@ -179,9 +178,13 @@ runCli(const Args &args)
 
     // --trace-out FILE: record the whole compilation as a Chrome
     // trace-event document (load in Perfetto or chrome://tracing).
+    // Rings are sized before the first span registers one.
     std::string trace_path = args.str("trace-out", "");
-    if (!trace_path.empty())
-        Tracer::global().setEnabled(true);
+    FlightRecorder &recorder = FlightRecorder::global();
+    if (!trace_path.empty()) {
+        recorder.setCapacityPerThread(kRecordAllCapacity);
+        recorder.setRecordAll(true);
+    }
 
     // Output paths are probed before the exploration runs: a typo'd
     // directory should cost milliseconds, not the whole tune.
@@ -200,8 +203,7 @@ runCli(const Args &args)
     // request) and dump the rings afterwards.
     std::optional<FlightScope> flight_scope;
     if (!flight_path.empty())
-        flight_scope.emplace(
-            FlightRecorder::global().beginRequest());
+        flight_scope.emplace(recorder.beginRequest());
 
     if (!json) {
         std::printf("%s", comp.toString().c_str());
@@ -351,21 +353,20 @@ runCli(const Args &args)
     }
 
     if (!trace_path.empty()) {
-        Tracer::global().writeFile(trace_path);
+        writeFileOrThrow(trace_path,
+                         recorder.chromeJson().dump() + "\n",
+                         "--trace-out");
         std::fprintf(stderr, "wrote %zu trace spans to %s\n",
-                     Tracer::global().spanCount(),
-                     trace_path.c_str());
+                     recorder.recordCount(), trace_path.c_str());
     }
 
     if (!flight_path.empty()) {
-        writeFileOrThrow(
-            flight_path,
-            FlightRecorder::global().dumpJson().dump() + "\n",
-            "--flight-dump");
+        writeFileOrThrow(flight_path,
+                         recorder.dumpJson().dump() + "\n",
+                         "--flight-dump");
         std::fprintf(stderr,
                      "wrote %zu flight records to %s\n",
-                     FlightRecorder::global().recordCount(),
-                     flight_path.c_str());
+                     recorder.recordCount(), flight_path.c_str());
     }
 
     if (args.flag("require-tensorized") && !result.tensorized)

@@ -25,10 +25,11 @@
  *   --no-warm            skip preloading the disk tier on start
  *   --replay FILE        batch mode: serve a request trace, print
  *                        responses + final stats, exit
- *   --trace-out FILE     record every request's spans and write one
- *                        Chrome trace-event document on exit
- *                        (requests carrying "trace_id" also get a
- *                        per-request span tree either way)
+ *   --trace-out FILE     record every span (rings of 65536 records
+ *                        per thread) and write one Chrome trace-event
+ *                        document on exit (requests carrying
+ *                        "trace_id" also get a per-request span tree
+ *                        either way)
  *   --slow-ms N          slow-request postmortem threshold in ms
  *                        (default: adaptive, 2x windowed p99)
  *   --slowlog-size N     retained postmortems (default 32); read
@@ -52,13 +53,13 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
 
 #include "serve/server.hh"
 #include "support/flight_recorder.hh"
-#include "support/trace.hh"
 
 namespace {
 
@@ -189,16 +190,22 @@ main(int argc, char **argv)
     if (!flight_dump.empty())
         installCrashHandlers(flight_dump);
 
+    // --trace-out: size the rings before any thread registers one,
+    // then record every span, request-scoped or not.
+    FlightRecorder &recorder = FlightRecorder::global();
     std::string trace_path = str("trace-out");
-    if (!trace_path.empty())
-        Tracer::global().setEnabled(true);
+    if (!trace_path.empty()) {
+        recorder.setCapacityPerThread(kRecordAllCapacity);
+        recorder.setRecordAll(true);
+    }
     auto write_trace = [&] {
         if (trace_path.empty())
             return;
-        Tracer::global().writeFile(trace_path);
-        inform("amos_served: wrote ",
-               Tracer::global().spanCount(), " trace spans to ",
-               trace_path);
+        std::ofstream out(trace_path);
+        out << recorder.chromeJson().dump() << "\n";
+        expect(out.good(), "trace: write to ", trace_path, " failed");
+        inform("amos_served: wrote ", recorder.recordCount(),
+               " trace spans to ", trace_path);
     };
 
     try {

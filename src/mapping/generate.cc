@@ -97,8 +97,10 @@ enumerateMappings(const TensorComputation &comp, const Intrinsic &intr,
         comp.combine() == compute.combine()) {
         const auto legal = quant::checkDtypeLegality(comp, compute);
         if (!legal.legal) {
-            span.arg("dtype_illegal", legal.reason);
+            // The count first: a long reason may not fit the span's
+            // inline args budget whole.
             span.arg("candidates", static_cast<std::int64_t>(0));
+            span.arg("dtype_illegal", legal.reason);
             return {};
         }
     }

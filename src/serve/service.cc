@@ -29,6 +29,16 @@ elapsedMs(Clock::time_point since)
         .count();
 }
 
+/** A traced response's `trace` field: one request's span tree. */
+Json
+requestTrace(const std::string &traceId, std::uint64_t seq)
+{
+    Json out = Json::object();
+    out.set("trace_id", Json(traceId));
+    out.set("spans", spanTree(FlightRecorder::global().harvest(seq)));
+    return out;
+}
+
 } // namespace
 
 Json
@@ -373,9 +383,7 @@ CompileService::submit(const CompileRequest &req)
     // number and a scope covering its submit path (cache-hit replay
     // included); whether the records are kept is decided after the
     // outcome is known (maybeRetain).
-    FlightRecorder &flight = FlightRecorder::global();
-    ticket._flightSeq =
-        flight.enabled() ? flight.beginRequest() : 0;
+    ticket._flightSeq = FlightRecorder::global().beginRequest();
     FlightScope flight_scope(ticket._flightSeq);
 
     ticket._admission.counters.reserve(_counterRefs.size());
@@ -435,11 +443,6 @@ CompileService::submit(const CompileRequest &req)
         bool from_memory = tier == TieredCache::Tier::Memory;
         std::optional<CompileResult> result;
         {
-            // Per-request tracing covers the replay (one simulator
-            // run) exactly like a full compile.
-            std::optional<TraceContext> trace_ctx;
-            if (!req.traceId.empty())
-                trace_ctx.emplace(req.traceId);
             TraceSpan span("serve.cache_hit", "serve");
             span.arg("tier", from_memory ? "memory" : "disk");
             result = replayCacheEntry(*entry, *comp, spec);
@@ -454,12 +457,9 @@ CompileService::submit(const CompileRequest &req)
                     report::explainToJson(report::explainResult(
                         outcome.result, *comp, spec));
             (from_memory ? _memoryHits : _diskHits).add();
-            if (!req.traceId.empty()) {
-                auto &tracer = Tracer::global();
-                outcome.trace = tracer.spanTreeFor(req.traceId);
-                if (!tracer.enabled())
-                    tracer.releaseTrace(req.traceId);
-            }
+            if (!req.traceId.empty())
+                outcome.trace =
+                    requestTrace(req.traceId, ticket._flightSeq);
             return immediate(std::move(outcome));
         }
         // Stale entry (e.g. hardware spec evolved): re-explore.
@@ -530,18 +530,11 @@ CompileService::runJob(std::shared_ptr<Job> job)
     LogTraceScope log_scope(trace_id);
     AMOS_LOG(Debug) << "compile start key=" << job->key;
     {
-        // Per-request trace context: every span the exploration
-        // opens on this thread (and, through parallelFor's context
-        // propagation, on the tuner's worker threads) is tagged with
-        // the request's trace id. The flight scope is re-installed
-        // the same way so the rings attribute the exploration to
-        // the originating request's sequence.
-        std::optional<TraceContext> trace_ctx;
-        if (!trace_id.empty())
-            trace_ctx.emplace(trace_id);
-        std::optional<FlightScope> flight_scope;
-        if (job->flightSeq != 0)
-            flight_scope.emplace(job->flightSeq);
+        // Re-install the originating request's flight scope: every
+        // span the exploration opens on this thread (and, through
+        // parallelFor's propagation, on the tuner's worker threads)
+        // is attributed to the request's sequence.
+        FlightScope flight_scope(job->flightSeq);
         TraceSpan span("serve.compile", "serve");
         span.arg("key", job->key);
         span.arg("queue_wait_ms", fmtDouble(queue_wait, 3));
@@ -605,17 +598,9 @@ CompileService::runJob(std::shared_ptr<Job> job)
             outcome.message = e.what();
         }
     }
-    if (!trace_id.empty()) {
-        // The root span has closed, so the tree is complete. Drop
-        // the spans afterwards (unless a global trace collection is
-        // running) so a long-lived server does not accumulate one
-        // request's spans forever.
-        auto &tracer = Tracer::global();
-        if (outcome.ok)
-            outcome.trace = tracer.spanTreeFor(trace_id);
-        if (!tracer.enabled())
-            tracer.releaseTrace(trace_id);
-    }
+    // The root span has closed, so the tree is complete.
+    if (outcome.ok && !trace_id.empty())
+        outcome.trace = requestTrace(trace_id, job->flightSeq);
     // Publish to the cache *before* leaving the in-flight map (done
     // above), then deregister, then resolve the waiters: a racing
     // submit always finds the result either in flight or cached.

@@ -5,18 +5,23 @@
 #include <algorithm>
 #include <cstring>
 
+#include "support/metrics.hh"
+
 namespace amos {
 
 namespace {
 
 constexpr std::size_t kDefaultCapacity = 4096;
 
+/// Marks a value cut to fit the inline args budget.
+constexpr std::string_view kCutMarker = "...";
+
 thread_local std::uint64_t tls_flight_seq = 0;
 
 /**
- * One-entry thread-local (recorder, ring) cache, mirroring the
- * tracer's TlsBufferCache: only the global recorder is hot, tests
- * with private instances re-register on the owner switch.
+ * One-entry thread-local (recorder, ring) cache: only the global
+ * recorder is hot, tests with private instances re-register on the
+ * owner switch.
  */
 struct TlsRingCache
 {
@@ -24,6 +29,23 @@ struct TlsRingCache
     void *ring = nullptr;
 };
 thread_local TlsRingCache tls_ring_cache;
+
+/** Calls fn(key, value) for each arg of the record, in order. */
+template <typename Fn>
+void
+forEachArg(const FlightRecord &record, Fn &&fn)
+{
+    std::string_view rest(record.args, kFlightArgBytes);
+    while (!rest.empty() && rest.front() != '\0') {
+        std::size_t key_end = rest.find('\0');
+        std::size_t value_end = rest.find('\0', key_end + 1);
+        if (value_end == std::string_view::npos)
+            return; // torn record (crash dump): stop, never overrun
+        fn(rest.substr(0, key_end),
+           rest.substr(key_end + 1, value_end - key_end - 1));
+        rest.remove_prefix(value_end + 1);
+    }
+}
 
 /// @name Async-signal-safe formatting (crashDump only).
 /// @{
@@ -80,18 +102,129 @@ safeWriteUs(int fd, double us)
 
 /// @}
 
+Json
+recordToJson(const FlightRecord &r)
+{
+    Json out = Json::object();
+    out.set("name", Json(r.name ? r.name : ""));
+    out.set("cat", Json(r.category ? r.category : ""));
+    out.set("start_us", Json(r.startUs));
+    out.set("dur_us", Json(r.durUs));
+    if (r.args[0] != '\0')
+        out.set("args", flightArgsJson(r));
+    return out;
+}
+
 } // namespace
+
+std::size_t
+appendFlightArg(FlightRecord &record, std::size_t used,
+                std::string_view key, std::string_view value)
+{
+    // Room for "key\0value\0" plus the terminating empty key.
+    std::size_t room = used < kFlightArgBytes
+                           ? kFlightArgBytes - used - 1
+                           : 0;
+    std::size_t fixed = key.size() + 2;
+    bool whole = fixed + value.size() <= room;
+    if (!whole && fixed + kCutMarker.size() > room)
+        return used; // not even the marker fits: drop the arg whole
+    char *out = record.args + used;
+    std::memcpy(out, key.data(), key.size());
+    out += key.size();
+    *out++ = '\0';
+    std::size_t keep =
+        whole ? value.size() : room - fixed - kCutMarker.size();
+    std::memcpy(out, value.data(), keep);
+    out += keep;
+    if (!whole) {
+        std::memcpy(out, kCutMarker.data(), kCutMarker.size());
+        out += kCutMarker.size();
+    }
+    *out++ = '\0';
+    *out = '\0';
+    return static_cast<std::size_t>(out - record.args);
+}
+
+Json
+flightArgsJson(const FlightRecord &record)
+{
+    Json args = Json::object();
+    forEachArg(record,
+               [&](std::string_view key, std::string_view value) {
+                   args.set(std::string(key), Json(std::string(value)));
+               });
+    return args;
+}
+
+bool
+spanBefore(const FlightRecord &a, const FlightRecord &b)
+{
+    if (a.startUs != b.startUs)
+        return a.startUs < b.startUs;
+    return a.durUs > b.durUs;
+}
+
+namespace {
+
+struct TreeNode
+{
+    const FlightRecord *record;
+    std::vector<std::size_t> children;
+};
+
+Json
+nodeToJson(const std::vector<TreeNode> &nodes, std::size_t index)
+{
+    Json out = recordToJson(*nodes[index].record);
+    if (!nodes[index].children.empty()) {
+        Json children = Json::array();
+        for (auto c : nodes[index].children)
+            children.push(nodeToJson(nodes, c));
+        out.set("children", std::move(children));
+    }
+    return out;
+}
+
+} // namespace
+
+Json
+spanTree(const std::vector<FlightRecord> &records)
+{
+    // Parent = innermost already-placed span that contains this one
+    // in time.
+    std::vector<TreeNode> nodes;
+    std::vector<std::size_t> roots;
+    std::vector<std::size_t> stack; // indices of open ancestors
+    for (const auto &record : records) {
+        nodes.push_back({&record, {}});
+        std::size_t index = nodes.size() - 1;
+        while (!stack.empty()) {
+            const FlightRecord &top = *nodes[stack.back()].record;
+            if (record.startUs >= top.startUs &&
+                record.startUs + record.durUs <=
+                    top.startUs + top.durUs + 1e-6)
+                break;
+            stack.pop_back();
+        }
+        if (stack.empty())
+            roots.push_back(index);
+        else
+            nodes[stack.back()].children.push_back(index);
+        stack.push_back(index);
+    }
+    Json tree = Json::array();
+    for (auto r : roots)
+        tree.push(nodeToJson(nodes, r));
+    return tree;
+}
 
 FlightRecorder::FlightRecorder()
     : _capacity(kDefaultCapacity),
+      _overwritten(
+          MetricsRegistry::global().counter("trace.dropped_spans")),
       _epoch(std::chrono::steady_clock::now())
 {}
-
-void
-FlightRecorder::setEnabled(bool enabled)
-{
-    _enabled.store(enabled, std::memory_order_relaxed);
-}
 
 std::uint64_t
 FlightRecorder::beginRequest()
@@ -103,6 +236,12 @@ std::uint64_t
 FlightRecorder::currentSeq()
 {
     return tls_flight_seq;
+}
+
+void
+FlightRecorder::setRecordAll(bool recordAll)
+{
+    _recordAll.store(recordAll, std::memory_order_relaxed);
 }
 
 FlightRecorder::Ring &
@@ -133,7 +272,7 @@ FlightRecorder::push(const FlightRecord &record)
     if (ring.slots.empty())
         return;
     if (ring.used == ring.slots.size())
-        _overwritten.fetch_add(1, std::memory_order_relaxed);
+        _overwritten.add();
     else
         ++ring.used;
     FlightRecord &slot = ring.slots[ring.next];
@@ -168,112 +307,72 @@ FlightRecorder::harvest(std::uint64_t seq) const
         if (r.seq == seq)
             out.push_back(r);
     });
-    std::sort(out.begin(), out.end(),
-              [](const FlightRecord &a, const FlightRecord &b) {
-                  if (a.startUs != b.startUs)
-                      return a.startUs < b.startUs;
-                  return a.durUs > b.durUs;
-              });
+    std::sort(out.begin(), out.end(), spanBefore);
     return out;
 }
 
-namespace {
-
-struct FlightTreeNode
+std::vector<FlightRecord>
+FlightRecorder::snapshot() const
 {
-    const FlightRecord *record;
-    std::vector<std::size_t> children;
-};
-
-Json
-flightNodeToJson(const std::vector<FlightTreeNode> &nodes,
-                 std::size_t index)
-{
-    const FlightRecord &r = *nodes[index].record;
-    Json out = Json::object();
-    out.set("name", Json(r.name ? r.name : ""));
-    out.set("cat", Json(r.category ? r.category : ""));
-    out.set("start_us", Json(r.startUs));
-    out.set("dur_us", Json(r.durUs));
-    if (r.args[0] != '\0')
-        out.set("args", Json(std::string(r.args)));
-    if (!nodes[index].children.empty()) {
-        Json children = Json::array();
-        for (auto c : nodes[index].children)
-            children.push(flightNodeToJson(nodes, c));
-        out.set("children", std::move(children));
-    }
+    std::vector<FlightRecord> out;
+    forEachRecord([&](const FlightRecord &r) { out.push_back(r); });
+    std::sort(out.begin(), out.end(), spanBefore);
     return out;
 }
-
-/** Same time-containment nesting as Tracer::spanTreeFor. */
-Json
-recordsToTree(const std::vector<FlightRecord> &records)
-{
-    std::vector<FlightTreeNode> nodes;
-    std::vector<std::size_t> roots;
-    std::vector<std::size_t> stack;
-    for (const auto &record : records) {
-        nodes.push_back({&record, {}});
-        std::size_t index = nodes.size() - 1;
-        while (!stack.empty()) {
-            const FlightRecord &top = *nodes[stack.back()].record;
-            if (record.startUs >= top.startUs &&
-                record.startUs + record.durUs <=
-                    top.startUs + top.durUs + 1e-6)
-                break;
-            stack.pop_back();
-        }
-        if (stack.empty())
-            roots.push_back(index);
-        else
-            nodes[stack.back()].children.push_back(index);
-        stack.push_back(index);
-    }
-    Json tree = Json::array();
-    for (auto r : roots)
-        tree.push(flightNodeToJson(nodes, r));
-    return tree;
-}
-
-} // namespace
 
 Json
 FlightRecorder::spanTreeFor(std::uint64_t seq) const
 {
     Json out = Json::object();
     out.set("flight_seq", Json(static_cast<std::int64_t>(seq)));
-    out.set("spans", recordsToTree(harvest(seq)));
+    out.set("spans", spanTree(harvest(seq)));
     return out;
 }
 
 Json
 FlightRecorder::dumpJson() const
 {
-    std::vector<FlightRecord> all;
-    forEachRecord(
-        [&](const FlightRecord &r) { all.push_back(r); });
-    std::sort(all.begin(), all.end(),
-              [](const FlightRecord &a, const FlightRecord &b) {
-                  return a.startUs < b.startUs;
-              });
     Json records = Json::array();
-    for (const auto &r : all) {
-        Json rec = Json::object();
-        rec.set("name", Json(r.name ? r.name : ""));
-        rec.set("cat", Json(r.category ? r.category : ""));
+    for (const auto &r : snapshot()) {
+        Json rec = recordToJson(r);
         rec.set("seq", Json(static_cast<std::int64_t>(r.seq)));
         rec.set("tid", Json(static_cast<std::int64_t>(r.tid)));
-        rec.set("start_us", Json(r.startUs));
-        rec.set("dur_us", Json(r.durUs));
-        if (r.args[0] != '\0')
-            rec.set("args", Json(std::string(r.args)));
         records.push(std::move(rec));
     }
     Json out = Json::object();
     out.set("records", std::move(records));
     out.set("overwritten",
             Json(static_cast<std::int64_t>(overwrittenCount())));
+    return out;
+}
+
+Json
+FlightRecorder::chromeJson() const
+{
+    Json events = Json::array();
+    for (const auto &r : snapshot()) {
+        Json event = Json::object();
+        event.set("name", Json(r.name ? r.name : ""));
+        event.set("cat", Json(r.category ? r.category : ""));
+        event.set("ph", Json("X"));
+        event.set("ts", Json(r.startUs));
+        event.set("dur", Json(r.durUs));
+        event.set("pid", Json(1));
+        event.set("tid", Json(static_cast<std::int64_t>(r.tid)));
+        Json args = flightArgsJson(r);
+        if (r.seq != 0)
+            args.set("flight_seq",
+                     Json(static_cast<std::int64_t>(r.seq)));
+        event.set("args", std::move(args));
+        events.push(std::move(event));
+    }
+    Json other = Json::object();
+    other.set("dropped_spans",
+              Json(static_cast<std::int64_t>(overwrittenCount())));
+    Json out = Json::object();
+    out.set("traceEvents", std::move(events));
+    out.set("displayTimeUnit", Json("ms"));
+    out.set("otherData", std::move(other));
     return out;
 }
 
@@ -292,7 +391,7 @@ FlightRecorder::recordCount() const
 std::uint64_t
 FlightRecorder::overwrittenCount() const
 {
-    return _overwritten.load(std::memory_order_relaxed);
+    return _overwritten.value();
 }
 
 void
@@ -338,11 +437,17 @@ FlightRecorder::crashDump(int fd) const noexcept
             safeWriteStr(fd, " ");
             if (r.name != nullptr)
                 safeWriteStr(fd, r.name);
-            if (r.args[0] != '\0') {
-                safeWriteStr(fd, " [");
-                safeWriteStr(fd, r.args);
+            bool any = false;
+            forEachArg(r, [&](std::string_view key,
+                              std::string_view value) {
+                safeWriteStr(fd, any ? " " : " [");
+                safeWrite(fd, key.data(), key.size());
+                safeWriteStr(fd, "=");
+                safeWrite(fd, value.data(), value.size());
+                any = true;
+            });
+            if (any)
                 safeWriteStr(fd, "]");
-            }
             safeWriteStr(fd, "\n");
         }
     }

@@ -1,27 +1,36 @@
 /**
  * @file
- * Always-on flight recorder: fixed-capacity per-thread ring buffers
- * of compact span records, fed by the existing TraceSpan
- * instrumentation points (no new call sites anywhere in the
- * pipeline).
+ * The span store: fixed-capacity per-thread ring buffers of compact
+ * span records, fed by the TraceSpan instrumentation points
+ * (support/trace.hh). Every trace output is a view over these rings:
+ * a served request's `trace` field, slowlog postmortems, the
+ * `flightdump` verb, `--trace-out`'s Chrome/Perfetto document and the
+ * crash dump.
  *
- * The recorder answers the question full tracing cannot: "what was
- * this request doing?" for requests nobody thought to trace. The
- * serve layer opens a FlightScope per request (a numeric sequence
- * number, propagated across parallelFor like a TraceContext); every
- * TraceSpan closing under the scope appends one ~128-byte record to
- * the current thread's ring. Rings overwrite their oldest records
- * when full, so memory is bounded by `threads x capacity` forever —
- * the tail-based retention in src/serve decides *after* a request
- * finished whether to harvest its records into a postmortem.
+ * What gets recorded:
  *
- * Cost model: when no scope is active a TraceSpan pays one
- * thread-local read extra. Under a scope, closing a span is one
- * uncontended per-thread mutex plus a small fixed-size copy — no
- * allocation, no string construction (names/categories are string
- * literals and stored as pointers, args are snprintf'd into an
- * inline buffer). bench_trace_overhead gates the enabled-recorder
- * overhead at < 5%.
+ *  - Requests. The serve layer opens a FlightScope per request (a
+ *    numeric sequence number, propagated across parallelFor); every
+ *    TraceSpan closing under the scope appends one record tagged
+ *    with that seq. A request's records are harvested by seq when it
+ *    finishes — into the response when it carried a `trace_id`, into
+ *    the slowlog when the outcome was interesting.
+ *
+ *  - Everything (record-all). setRecordAll(true) also records spans
+ *    outside any scope, with seq 0. `--trace-out` turns it on after
+ *    raising the per-thread capacity, then exports the rings as one
+ *    Chrome trace-event document.
+ *
+ * Rings overwrite their oldest records when full, so memory is
+ * bounded by `threads x capacity x 128 B`. Every overwrite is counted
+ * in the global `trace.dropped_spans` counter — the one loss counter.
+ *
+ * Cost model: with no scope and record-all off a TraceSpan pays one
+ * thread-local read and one relaxed atomic load. Recording a span is
+ * one uncontended per-thread mutex plus a fixed-size copy — no
+ * allocation: names/categories are string literals stored as
+ * pointers, args are formatted into an inline buffer.
+ * bench_trace_overhead gates the recording overhead at < 5%.
  *
  * Crash path: crashDump(fd) walks the rings without taking locks
  * and writes one line per record using only async-signal-safe
@@ -39,11 +48,22 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/json.hh"
 
 namespace amos {
+
+class MetricCounter;
+
+/// Inline arg bytes per record: what is left of 128 B after the
+/// fixed fields.
+constexpr std::size_t kFlightArgBytes = 84;
+
+/// Per-thread ring capacity under `--trace-out`: 64Ki records x 128 B
+/// bounds a long-lived traced server at 8 MiB per thread.
+constexpr std::size_t kRecordAllCapacity = 1 << 16;
 
 /** One recorded span, compact enough to live in a preallocated ring. */
 struct FlightRecord
@@ -60,15 +80,44 @@ struct FlightRecord
     double durUs = 0.0;
     /// Dense per-process thread index (stable per thread).
     std::uint32_t tid = 0;
-    /// Inline "k=v k=v" annotations, truncated, NUL-terminated.
-    char args[56] = {0};
+    /// Annotations as `key\0value\0` pairs in insertion order, ended
+    /// by an empty key. Written by appendFlightArg: a value that does
+    /// not fit is cut and ends in "..." (or the whole arg is dropped
+    /// when not even that fits) — never silently shortened.
+    char args[kFlightArgBytes] = {};
 };
 
+static_assert(sizeof(FlightRecord) <= 128,
+              "flight records must stay within 128 bytes");
+
 /**
- * Process-wide recorder of FlightRecords. Enabled by default —
- * "always on" is the point — but can be toggled for A/B overhead
- * measurement (bench_trace_overhead) and tests.
+ * Append one key/value annotation to a record's args at byte offset
+ * `used` (0 for the first); returns the new offset. The buffer stays
+ * terminated after every call.
  */
+std::size_t appendFlightArg(FlightRecord &record, std::size_t used,
+                            std::string_view key,
+                            std::string_view value);
+
+/** A record's args as a JSON object {key: value}. */
+Json flightArgsJson(const FlightRecord &record);
+
+/**
+ * The one span order: by start time, ties broken longer-first so a
+ * parent precedes the children it starts together with.
+ */
+bool spanBefore(const FlightRecord &a, const FlightRecord &b);
+
+/**
+ * Span tree of records sorted by spanBefore: each record nests
+ * under the innermost earlier record containing it in time. Same-
+ * thread containment is exact (scoped spans nest); cross-thread
+ * containment approximates the fork structure of parallelFor.
+ * Returns [{name,cat,start_us,dur_us,args,children:[...]}].
+ */
+Json spanTree(const std::vector<FlightRecord> &records);
+
+/** Process-wide store of FlightRecords. */
 class FlightRecorder
 {
   public:
@@ -76,13 +125,6 @@ class FlightRecorder
 
     FlightRecorder(const FlightRecorder &) = delete;
     FlightRecorder &operator=(const FlightRecorder &) = delete;
-
-    bool
-    enabled() const
-    {
-        return _enabled.load(std::memory_order_relaxed);
-    }
-    void setEnabled(bool enabled);
 
     /**
      * Allocate a request sequence number (monotonic, never 0).
@@ -94,35 +136,51 @@ class FlightRecorder
     /** The active sequence number on this thread (0 when none). */
     static std::uint64_t currentSeq();
 
+    /** Also record spans outside any scope (seq 0): `--trace-out`. */
+    void setRecordAll(bool recordAll);
+    bool
+    recordingAll() const
+    {
+        return _recordAll.load(std::memory_order_relaxed);
+    }
+
     /** Append one record to the calling thread's ring. */
     void push(const FlightRecord &record);
 
-    /**
-     * Snapshot every record of one request across all rings,
-     * sorted by start time (parents before children).
-     */
+    /** Every resident record of one request, sorted by spanBefore. */
     std::vector<FlightRecord> harvest(std::uint64_t seq) const;
 
+    /** Every resident record, sorted by spanBefore. */
+    std::vector<FlightRecord> snapshot() const;
+
     /**
-     * Span tree of one request, nested by time containment —
-     * the same shape Tracer::spanTreeFor produces, built from the
-     * rings instead of the (possibly disabled) tracer:
-     * {"flight_seq":N,"spans":[{name,cat,start_us,dur_us,args,
-     * children:[...]}]}.
+     * Span tree of one request:
+     * {"flight_seq":N,"spans":spanTree(harvest(N))}.
      */
     Json spanTreeFor(std::uint64_t seq) const;
 
     /**
-     * Everything currently held in the rings (all requests mixed),
-     * as a JSON array sorted by start time. The `flightdump` verb
-     * and `--flight-dump` write this to disk.
+     * Everything resident (all requests mixed): {"records":[{name,
+     * cat,seq,tid,start_us,dur_us,args}],"overwritten":N}. The
+     * `flightdump` verb and `--flight-dump` write this to disk.
      */
     Json dumpJson() const;
+
+    /**
+     * Everything resident as a Chrome trace-event document:
+     * {"traceEvents":[{name,cat,ph:"X",ts,dur,pid,tid,args}],
+     * "displayTimeUnit":"ms","otherData":{"dropped_spans":N}}. Load
+     * in Perfetto (ui.perfetto.dev) or chrome://tracing.
+     */
+    Json chromeJson() const;
 
     /** Records currently resident across all rings. */
     std::size_t recordCount() const;
 
-    /** Total records ever overwritten by ring wrap-around. */
+    /**
+     * Records ever overwritten by ring wrap-around: the global
+     * `trace.dropped_spans` counter.
+     */
     std::uint64_t overwrittenCount() const;
 
     /** Drop every resident record (rings stay registered). */
@@ -131,7 +189,7 @@ class FlightRecorder
     /**
      * Async-signal-safe dump of every ring to a file descriptor:
      * one `flight tid=<t> seq=<s> start_us=<..> dur_us=<..>
-     * <name> [args]` line per record. Walks the rings WITHOUT
+     * <name> [k=v k=v]` line per record. Walks the rings WITHOUT
      * locking — a crashed thread may hold a ring mutex — so a
      * record being written concurrently can read torn; acceptable
      * for a best-effort postmortem. Only write(2) and stack
@@ -142,7 +200,8 @@ class FlightRecorder
     /**
      * Per-thread ring capacity for subsequently *registered*
      * threads (existing rings keep their size). Tests shrink it to
-     * exercise wrap-around without millions of spans.
+     * exercise wrap-around; `--trace-out` raises it before any
+     * thread registers.
      */
     void setCapacityPerThread(std::size_t capacity);
     std::size_t capacityPerThread() const;
@@ -150,9 +209,17 @@ class FlightRecorder
     /** The process-wide recorder every TraceSpan records into. */
     static FlightRecorder &global();
 
-  private:
-    friend class FlightScope;
+    /// @name Internals shared with TraceSpan (not for direct use).
+    /// @{
+    double
+    sinceEpochUs(std::chrono::steady_clock::time_point tp) const
+    {
+        return std::chrono::duration<double, std::micro>(tp - _epoch)
+            .count();
+    }
+    /// @}
 
+  private:
     struct Ring
     {
         mutable std::mutex mutex;
@@ -165,34 +232,25 @@ class FlightRecorder
     Ring &threadRing();
     template <typename Fn> void forEachRecord(Fn &&fn) const;
 
-    std::atomic<bool> _enabled{true};
+    std::atomic<bool> _recordAll{false};
     std::atomic<std::uint64_t> _nextSeq{1};
-    std::atomic<std::uint64_t> _overwritten{0};
     std::atomic<std::size_t> _capacity;
+    /// Global `trace.dropped_spans`, resolved once so the overwrite
+    /// path never takes the registry lock.
+    MetricCounter &_overwritten;
 
     mutable std::mutex _registryMutex;
     std::vector<std::shared_ptr<Ring>> _rings;
     std::uint32_t _nextTid = 0;
 
     std::chrono::steady_clock::time_point _epoch;
-
-  public:
-    /// @name Internals shared with TraceSpan (not for direct use).
-    /// @{
-    double
-    sinceEpochUs(std::chrono::steady_clock::time_point tp) const
-    {
-        return std::chrono::duration<double, std::micro>(tp - _epoch)
-            .count();
-    }
-    /// @}
 };
 
 /**
  * RAII request scope: while alive, spans closing on this thread
  * (and on parallelFor workers the thread fans out to) are recorded
- * into the flight rings under the given sequence number. Scopes
- * nest; the innermost wins.
+ * into the rings under the given sequence number. Scopes nest; the
+ * innermost wins.
  */
 class FlightScope
 {

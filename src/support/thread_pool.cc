@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 
 #include "flight_recorder.hh"
 #include "logging.hh"
-#include "trace.hh"
 
 namespace amos {
 
@@ -135,20 +133,14 @@ parallelFor(std::size_t n,
     std::mutex error_mutex;
     std::exception_ptr error;
 
-    // Fan the caller's per-request trace context and flight scope
-    // out with the work: spans opened inside bodies on pool workers
-    // stay attributed to the request that forked them.
-    std::string trace_id = TraceContext::currentId();
+    // Fan the caller's flight scope out with the work: spans opened
+    // inside bodies on pool workers stay attributed to the request
+    // that forked them.
     std::uint64_t flight_seq = FlightRecorder::currentSeq();
 
     auto drive = [&]() {
         ParallelRegionGuard guard;
-        std::optional<TraceContext> trace_ctx;
-        if (!trace_id.empty())
-            trace_ctx.emplace(trace_id);
-        std::optional<FlightScope> flight_scope;
-        if (flight_seq != 0)
-            flight_scope.emplace(flight_seq);
+        FlightScope flight_scope(flight_seq);
         while (!failed.load(std::memory_order_relaxed)) {
             std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);

@@ -1,376 +1,49 @@
 #include "trace.hh"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-
-#include "support/flight_recorder.hh"
-#include "support/logging.hh"
-#include "support/metrics.hh"
+#include <charconv>
 
 namespace amos {
 
-namespace {
-
-/// Default per-thread span cap: ~64k spans x ~200 B is a bounded
-/// ~13 MB/thread worst case for a long-lived --trace-out server.
-constexpr std::size_t kDefaultSpanCap = 1 << 16;
-
-thread_local std::string tls_trace_id;
-
-/**
- * One-entry thread-local cache of (tracer, buffer). Only the global
- * tracer is hot; tests that construct private Tracer instances just
- * re-register on the (rare) owner switch.
- */
-struct TlsBufferCache
-{
-    const void *owner = nullptr;
-    void *buffer = nullptr;
-};
-thread_local TlsBufferCache tls_buffer_cache;
-
-} // namespace
-
-Tracer::Tracer()
-    : _spanCap(kDefaultSpanCap),
-      _dropCounter(
-          &MetricsRegistry::global().counter("trace.dropped_spans")),
-      _epoch(Clock::now())
-{}
-
-void
-Tracer::setEnabled(bool enabled)
-{
-    _enabled.store(enabled, std::memory_order_relaxed);
-}
-
-Tracer::ThreadBuffer &
-Tracer::threadBuffer()
-{
-    if (tls_buffer_cache.owner == this)
-        return *static_cast<ThreadBuffer *>(tls_buffer_cache.buffer);
-    auto buffer = std::make_shared<ThreadBuffer>();
-    {
-        std::lock_guard<std::mutex> lock(_registryMutex);
-        buffer->tid = _nextTid++;
-        _buffers.push_back(buffer);
-    }
-    // The shared_ptr in _buffers keeps the buffer alive for the
-    // tracer's lifetime, so the raw cached pointer stays valid even
-    // after the owning thread exits.
-    tls_buffer_cache.owner = this;
-    tls_buffer_cache.buffer = buffer.get();
-    return *buffer;
-}
-
-void
-Tracer::record(SpanRecord record)
-{
-    ThreadBuffer &buffer = threadBuffer();
-    record.tid = buffer.tid;
-    std::lock_guard<std::mutex> lock(buffer.mutex);
-    if (buffer.spans.size() >=
-        _spanCap.load(std::memory_order_relaxed)) {
-        _dropped.fetch_add(1, std::memory_order_relaxed);
-        _dropCounter->add();
-        return;
-    }
-    buffer.spans.push_back(std::move(record));
-}
-
-void
-Tracer::setSpanCapPerThread(std::size_t cap)
-{
-    _spanCap.store(cap, std::memory_order_relaxed);
-}
-
-std::size_t
-Tracer::spanCapPerThread() const
-{
-    return _spanCap.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-Tracer::droppedSpans() const
-{
-    return _dropped.load(std::memory_order_relaxed);
-}
-
-void
-Tracer::clear()
-{
-    std::lock_guard<std::mutex> lock(_registryMutex);
-    for (auto &buffer : _buffers) {
-        std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-        buffer->spans.clear();
-    }
-}
-
-std::vector<SpanRecord>
-Tracer::collect() const
-{
-    std::vector<SpanRecord> out;
-    std::lock_guard<std::mutex> lock(_registryMutex);
-    for (const auto &buffer : _buffers) {
-        std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-        out.insert(out.end(), buffer->spans.begin(),
-                   buffer->spans.end());
-    }
-    return out;
-}
-
-std::size_t
-Tracer::spanCount() const
-{
-    std::size_t count = 0;
-    std::lock_guard<std::mutex> lock(_registryMutex);
-    for (const auto &buffer : _buffers) {
-        std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-        count += buffer->spans.size();
-    }
-    return count;
-}
-
-std::size_t
-Tracer::releaseTrace(const std::string &traceId)
-{
-    std::size_t erased = 0;
-    std::lock_guard<std::mutex> lock(_registryMutex);
-    for (auto &buffer : _buffers) {
-        std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-        auto it = std::remove_if(
-            buffer->spans.begin(), buffer->spans.end(),
-            [&](const SpanRecord &s) { return s.traceId == traceId; });
-        erased += static_cast<std::size_t>(buffer->spans.end() - it);
-        buffer->spans.erase(it, buffer->spans.end());
-    }
-    return erased;
-}
-
-Json
-Tracer::toChromeJson() const
-{
-    auto spans = collect();
-    // Stable presentation order: by start time, ties by duration
-    // descending so parents precede children.
-    std::sort(spans.begin(), spans.end(),
-              [](const SpanRecord &a, const SpanRecord &b) {
-                  if (a.startUs != b.startUs)
-                      return a.startUs < b.startUs;
-                  return a.durUs > b.durUs;
-              });
-    Json events = Json::array();
-    for (const auto &span : spans) {
-        Json event = Json::object();
-        event.set("name", Json(span.name));
-        event.set("cat", Json(span.category));
-        event.set("ph", Json("X"));
-        event.set("ts", Json(span.startUs));
-        event.set("dur", Json(span.durUs));
-        event.set("pid", Json(1));
-        event.set("tid",
-                  Json(static_cast<std::int64_t>(span.tid)));
-        if (!span.args.empty() || !span.traceId.empty()) {
-            Json args = Json::object();
-            if (!span.traceId.empty())
-                args.set("trace_id", Json(span.traceId));
-            for (const auto &[key, value] : span.args)
-                args.set(key, Json(value));
-            event.set("args", std::move(args));
-        }
-        events.push(std::move(event));
-    }
-    Json out = Json::object();
-    out.set("traceEvents", std::move(events));
-    out.set("displayTimeUnit", Json("ms"));
-    return out;
-}
-
-void
-Tracer::writeFile(const std::string &path) const
-{
-    std::ofstream out(path);
-    expect(out.good(), "trace: cannot write ", path);
-    out << toChromeJson().dump() << "\n";
-    expect(out.good(), "trace: write to ", path, " failed");
-}
-
-namespace {
-
-/** Node of the span tree built by spanTreeFor. */
-struct TreeNode
-{
-    const SpanRecord *span;
-    std::vector<std::size_t> children;
-};
-
-Json
-treeToJson(const std::vector<TreeNode> &nodes, std::size_t index)
-{
-    const SpanRecord &span = *nodes[index].span;
-    Json out = Json::object();
-    out.set("name", Json(span.name));
-    out.set("cat", Json(span.category));
-    out.set("start_us", Json(span.startUs));
-    out.set("dur_us", Json(span.durUs));
-    if (!span.args.empty()) {
-        Json args = Json::object();
-        for (const auto &[key, value] : span.args)
-            args.set(key, Json(value));
-        out.set("args", std::move(args));
-    }
-    if (!nodes[index].children.empty()) {
-        Json children = Json::array();
-        for (auto c : nodes[index].children)
-            children.push(treeToJson(nodes, c));
-        out.set("children", std::move(children));
-    }
-    return out;
-}
-
-} // namespace
-
-Json
-Tracer::spanTreeFor(const std::string &traceId) const
-{
-    std::vector<SpanRecord> spans;
-    for (auto &span : collect())
-        if (span.traceId == traceId)
-            spans.push_back(std::move(span));
-    std::sort(spans.begin(), spans.end(),
-              [](const SpanRecord &a, const SpanRecord &b) {
-                  if (a.startUs != b.startUs)
-                      return a.startUs < b.startUs;
-                  return a.durUs > b.durUs;
-              });
-
-    // Parent = innermost already-placed span that contains this one
-    // in time. Same-thread containment is exact (scoped spans nest);
-    // cross-thread containment approximates the fork structure of
-    // parallelFor, which is what a reader wants to see.
-    std::vector<TreeNode> nodes;
-    std::vector<std::size_t> roots;
-    std::vector<std::size_t> stack; // indices of open ancestors
-    for (const auto &span : spans) {
-        nodes.push_back({&span, {}});
-        std::size_t index = nodes.size() - 1;
-        while (!stack.empty()) {
-            const SpanRecord &top = *nodes[stack.back()].span;
-            if (span.startUs >= top.startUs &&
-                span.startUs + span.durUs <=
-                    top.startUs + top.durUs + 1e-6)
-                break;
-            stack.pop_back();
-        }
-        if (stack.empty())
-            roots.push_back(index);
-        else
-            nodes[stack.back()].children.push_back(index);
-        stack.push_back(index);
-    }
-
-    Json tree = Json::array();
-    for (auto r : roots)
-        tree.push(treeToJson(nodes, r));
-    Json out = Json::object();
-    out.set("trace_id", Json(traceId));
-    out.set("spans", std::move(tree));
-    return out;
-}
-
-Tracer &
-Tracer::global()
-{
-    static Tracer tracer;
-    return tracer;
-}
-
-TraceContext::TraceContext(std::string traceId)
-    : _previous(std::move(tls_trace_id))
-{
-    tls_trace_id = std::move(traceId);
-}
-
-TraceContext::~TraceContext()
-{
-    tls_trace_id = std::move(_previous);
-}
-
-const std::string &
-TraceContext::currentId()
-{
-    return tls_trace_id;
-}
-
 TraceSpan::TraceSpan(const char *name, const char *category)
-    : _active(Tracer::global().enabled() || !tls_trace_id.empty()),
-      _flight(FlightRecorder::currentSeq() != 0 &&
-              FlightRecorder::global().enabled()),
-      _name(name), _category(category)
+    : _active(FlightRecorder::currentSeq() != 0 ||
+              FlightRecorder::global().recordingAll())
 {
-    if (_flight) {
-        _flightSeq = FlightRecorder::currentSeq();
-        _flightArgs[0] = '\0';
-    }
-    if (_active || _flight)
-        _start = Tracer::Clock::now();
+    if (!_active)
+        return;
+    _record.name = name;
+    _record.category = category;
+    _record.seq = FlightRecorder::currentSeq();
+    _start = std::chrono::steady_clock::now();
 }
 
 void
-TraceSpan::arg(const char *key, std::string value)
+TraceSpan::arg(const char *key, std::string_view value)
 {
-    if (_flight) {
-        // Append "key=value" to the fixed inline buffer; silently
-        // truncated — flight records trade fidelity for zero
-        // allocation on the speculative path.
-        int n = std::snprintf(
-            _flightArgs + _flightArgsLen,
-            sizeof(_flightArgs) - _flightArgsLen, "%s%s=%s",
-            _flightArgsLen > 0 ? " " : "", key, value.c_str());
-        if (n > 0)
-            _flightArgsLen = std::min(
-                _flightArgsLen + static_cast<std::size_t>(n),
-                sizeof(_flightArgs) - 1);
-    }
     if (_active)
-        _args.emplace_back(key, std::move(value));
+        _argsLen = appendFlightArg(_record, _argsLen, key, value);
+}
+
+void
+TraceSpan::arg(const char *key, std::int64_t value)
+{
+    if (!_active)
+        return;
+    char buf[24];
+    char *end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+    arg(key, std::string_view(buf, end - buf));
 }
 
 TraceSpan::~TraceSpan()
 {
-    if (!_active && !_flight)
-        return;
-    auto end = Tracer::Clock::now();
-    if (_flight) {
-        FlightRecorder &recorder = FlightRecorder::global();
-        FlightRecord record;
-        record.name = _name;
-        record.category = _category;
-        record.seq = _flightSeq;
-        record.startUs = recorder.sinceEpochUs(_start);
-        record.durUs =
-            std::chrono::duration<double, std::micro>(end - _start)
-                .count();
-        static_assert(sizeof(record.args) == sizeof(_flightArgs),
-                      "inline arg buffers must match");
-        std::memcpy(record.args, _flightArgs, sizeof(_flightArgs));
-        recorder.push(record);
-    }
     if (!_active)
         return;
-    Tracer &tracer = Tracer::global();
-    SpanRecord record;
-    record.name = _name;
-    record.category = _category;
-    record.traceId = tls_trace_id;
-    record.args = std::move(_args);
-    record.startUs = tracer.sinceEpochUs(_start);
-    record.durUs =
+    auto end = std::chrono::steady_clock::now();
+    FlightRecorder &recorder = FlightRecorder::global();
+    _record.startUs = recorder.sinceEpochUs(_start);
+    _record.durUs =
         std::chrono::duration<double, std::micro>(end - _start)
             .count();
-    tracer.record(std::move(record));
+    recorder.push(_record);
 }
 
 } // namespace amos

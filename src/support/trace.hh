@@ -1,198 +1,37 @@
 /**
  * @file
- * Structured tracing: scoped spans collected into per-thread buffers
- * and exported as Chrome trace-event JSON (loadable in Perfetto or
- * chrome://tracing).
+ * Structured tracing: scoped spans recorded into the per-thread
+ * flight rings (support/flight_recorder.hh), the one span store.
+ * Every trace output — a served request's span tree, slowlog
+ * postmortems, `flightdump`, and `--trace-out`'s Chrome trace-event
+ * JSON (loadable in Perfetto or chrome://tracing) — is a view over
+ * the records the rings hold.
  *
- * Two recording modes, combinable:
- *
- *  - Global: Tracer::global().setEnabled(true) records every span in
- *    the process (the `--trace-out` flag of amos_cli/amos_served).
- *
- *  - Per-request: a TraceContext installed on a thread tags spans
- *    with a trace id and records them even while global tracing is
- *    off. The serve layer uses this to attach a span tree to a
- *    single response without tracing the whole server; parallelFor
- *    propagates the context onto its worker threads.
- *
- * When neither mode is active, constructing a TraceSpan costs one
- * relaxed atomic load plus one thread-local read — cheap enough to
- * leave instrumentation in every hot path (see docs/observability.md
- * for the measured overhead).
- *
- * Thread safety: spans are appended under a per-thread mutex that is
- * uncontended except while an exporter snapshots the buffers, so the
- * tracer is safe (and TSan-clean) under concurrent tuning threads.
+ * A span is recorded when it opens under a FlightScope (the serve
+ * layer installs one per request; parallelFor propagates it onto
+ * its workers) or while the recorder records everything
+ * (FlightRecorder::setRecordAll, the `--trace-out` flag). Otherwise
+ * constructing a TraceSpan costs one thread-local read plus one
+ * relaxed atomic load — cheap enough to leave instrumentation in
+ * every hot path (see docs/observability.md for the measured
+ * overhead). A recorded span never allocates: its args are
+ * formatted straight into the record's inline buffer.
  */
 
 #ifndef AMOS_SUPPORT_TRACE_HH
 #define AMOS_SUPPORT_TRACE_HH
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <utility>
-#include <vector>
+#include <string_view>
 
-#include "support/json.hh"
+#include "support/flight_recorder.hh"
 
 namespace amos {
 
-/** One completed span, as stored in a thread buffer. */
-struct SpanRecord
-{
-    /// Span name ("mapping.enumerate", ...); see docs/observability.md
-    /// for the taxonomy.
-    std::string name;
-    /// Coarse subsystem category ("mapping", "explore", "sim", ...).
-    std::string category;
-    /// Per-request trace id (empty when recorded by global tracing
-    /// outside any TraceContext).
-    std::string traceId;
-    /// Key/value annotations, in insertion order.
-    std::vector<std::pair<std::string, std::string>> args;
-
-    /// Start offset from the tracer epoch, microseconds.
-    double startUs = 0.0;
-    /// Duration, microseconds.
-    double durUs = 0.0;
-    /// Dense per-process thread index (stable per thread).
-    std::uint32_t tid = 0;
-};
-
-/** Collects spans from all threads; exports Chrome trace JSON. */
-class Tracer
-{
-  public:
-    Tracer();
-
-    Tracer(const Tracer &) = delete;
-    Tracer &operator=(const Tracer &) = delete;
-
-    /** Turn global (record-everything) tracing on or off. */
-    void setEnabled(bool enabled);
-    bool
-    enabled() const
-    {
-        return _enabled.load(std::memory_order_relaxed);
-    }
-
-    /** Drop every recorded span (buffers stay registered). */
-    void clear();
-
-    /** Snapshot of all recorded spans across all threads. */
-    std::vector<SpanRecord> collect() const;
-
-    /** Number of spans currently recorded. */
-    std::size_t spanCount() const;
-
-    /**
-     * Chrome trace-event JSON: {"traceEvents":[...],
-     * "displayTimeUnit":"ms"}, one complete ("ph":"X") event per
-     * span. Load in Perfetto (ui.perfetto.dev) or chrome://tracing.
-     */
-    Json toChromeJson() const;
-
-    /** Write toChromeJson() to a file (fatal on I/O failure). */
-    void writeFile(const std::string &path) const;
-
-    /**
-     * Nested span tree of one trace id: spans on the same thread
-     * nest by time containment, cross-thread spans attach to the
-     * innermost enclosing-in-time span of the spawning structure or
-     * to the root. Returns a JSON object {"trace_id":..,
-     * "spans":[{name,cat,start_us,dur_us,args,children:[...]}]}.
-     */
-    Json spanTreeFor(const std::string &traceId) const;
-
-    /**
-     * Erase every span tagged with the given trace id; returns the
-     * number erased. The serve layer calls this after attaching a
-     * span tree to a response so per-request tracing cannot grow the
-     * buffers without bound.
-     */
-    std::size_t releaseTrace(const std::string &traceId);
-
-    /**
-     * Per-thread buffer cap: once a thread holds this many spans,
-     * further records on it are dropped (counted in droppedSpans()
-     * and the global `trace.dropped_spans` metric) instead of
-     * growing without bound — a long-lived `--trace-out` server
-     * stays at bounded memory. Per-request traces are released
-     * after each response, so they never hit the cap in practice.
-     */
-    void setSpanCapPerThread(std::size_t cap);
-    std::size_t spanCapPerThread() const;
-
-    /** Spans dropped by the per-thread cap since process start. */
-    std::uint64_t droppedSpans() const;
-
-    /** The process-wide tracer every TraceSpan records into. */
-    static Tracer &global();
-
-    /// @name Internals shared with TraceSpan (not for direct use).
-    /// @{
-    using Clock = std::chrono::steady_clock;
-    double
-    sinceEpochUs(Clock::time_point tp) const
-    {
-        return std::chrono::duration<double, std::micro>(tp - _epoch)
-            .count();
-    }
-    void record(SpanRecord record);
-    /// @}
-
-  private:
-    struct ThreadBuffer
-    {
-        mutable std::mutex mutex;
-        std::vector<SpanRecord> spans;
-        std::uint32_t tid = 0;
-    };
-
-    ThreadBuffer &threadBuffer();
-
-    std::atomic<bool> _enabled{false};
-    std::atomic<std::size_t> _spanCap;
-    std::atomic<std::uint64_t> _dropped{0};
-    /// Global `trace.dropped_spans` counter, resolved once in the
-    /// constructor so the drop path never takes the registry lock.
-    class MetricCounter *_dropCounter;
-    Clock::time_point _epoch;
-
-    mutable std::mutex _registryMutex;
-    std::vector<std::shared_ptr<ThreadBuffer>> _buffers;
-    std::uint32_t _nextTid = 0;
-};
-
-/**
- * RAII per-request trace context: while alive, spans opened on this
- * thread (and on parallelFor workers it fans out to) carry the trace
- * id and are recorded even when global tracing is off. Contexts nest;
- * the innermost wins.
- */
-class TraceContext
-{
-  public:
-    explicit TraceContext(std::string traceId);
-    ~TraceContext();
-
-    TraceContext(const TraceContext &) = delete;
-    TraceContext &operator=(const TraceContext &) = delete;
-
-    /** The active trace id on this thread (empty when none). */
-    static const std::string &currentId();
-
-  private:
-    std::string _previous;
-};
-
 /**
  * RAII scoped span. Construct at the top of the region to measure;
- * the span is recorded (if tracing is active) when it destructs.
+ * the span is recorded (if active) when it destructs.
  *
  *   TraceSpan span("mapping.enumerate", "mapping");
  *   span.arg("intrinsic", intr.name());
@@ -207,31 +46,22 @@ class TraceSpan
     TraceSpan(const TraceSpan &) = delete;
     TraceSpan &operator=(const TraceSpan &) = delete;
 
-    /** Attach an annotation (no-op when the span is inactive). */
-    void arg(const char *key, std::string value);
-    void
-    arg(const char *key, std::int64_t value)
-    {
-        arg(key, std::to_string(value));
-    }
+    /**
+     * Attach an annotation (no-op when the span is inactive). Args
+     * share the record's kFlightArgBytes inline budget; see
+     * appendFlightArg for what happens to one that does not fit.
+     */
+    void arg(const char *key, std::string_view value);
+    void arg(const char *key, std::int64_t value);
 
-    /** True when this span will be recorded (tracer or flight). */
-    bool active() const { return _active || _flight; }
+    /** True when this span will be recorded. */
+    bool active() const { return _active; }
 
   private:
-    /// Recording into the Tracer (global tracing or TraceContext).
     bool _active;
-    /// Recording into the flight-recorder ring (a FlightScope is
-    /// installed and the recorder is enabled).
-    bool _flight;
-    const char *_name;
-    const char *_category;
-    std::uint64_t _flightSeq = 0;
-    Tracer::Clock::time_point _start;
-    std::vector<std::pair<std::string, std::string>> _args;
-    /// Inline args for the flight record ("k=v k=v", truncated).
-    char _flightArgs[56];
-    std::size_t _flightArgsLen = 0;
+    std::size_t _argsLen = 0;
+    std::chrono::steady_clock::time_point _start;
+    FlightRecord _record;
 };
 
 } // namespace amos

@@ -26,7 +26,7 @@
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "support/rng.hh"
-#include "support/trace.hh"
+#include "support/flight_recorder.hh"
 
 namespace amos {
 namespace serve {
@@ -886,9 +886,9 @@ TEST(Service, SlowRequestYieldsPostmortemWithoutTraceId)
     options.slowMs = 0.001; // everything is "slow"
     CompileService service(options);
 
-    // Nobody passed a trace_id and global tracing is off: the
-    // flight recorder alone must reconstruct the request.
-    ASSERT_FALSE(Tracer::global().enabled());
+    // Nobody passed a trace_id and record-all is off: the request's
+    // flight scope alone must reconstruct it.
+    ASSERT_FALSE(FlightRecorder::global().recordingAll());
     auto outcome = service.serve(fastRequest());
     ASSERT_TRUE(outcome.ok);
     EXPECT_GE(outcome.queueWaitMs, 0.0);
@@ -929,6 +929,126 @@ TEST(Service, SlowRequestYieldsPostmortemWithoutTraceId)
         tuned |= children.at(i).get("name").asString() ==
                  "explore.tune";
     EXPECT_TRUE(tuned);
+}
+
+/** Every span named `name` in a span tree, depth first. */
+void
+collectSpans(const Json &spans, const std::string &name,
+             std::vector<Json> &out)
+{
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        const Json &span = spans.at(i);
+        if (span.get("name").asString() == name)
+            out.push_back(span);
+        if (span.has("children"))
+            collectSpans(span.get("children"), name, out);
+    }
+}
+
+/** True when no arg value in `args` carries the cut marker. */
+bool
+argsWhole(const Json &args)
+{
+    for (const auto &[key, value] : args.entries()) {
+        const std::string &text = value.asString();
+        if (text.size() >= 3 &&
+            text.compare(text.size() - 3, 3, "...") == 0)
+            return false;
+    }
+    return true;
+}
+
+TEST(Service, TracedSlowRequestRendersOneSpanTree)
+{
+    ServeOptions options;
+    options.workers = 1;
+    options.slowMs = 0.001; // everything is "slow"
+    CompileService service(options);
+
+    // One request that is both traced and slow: its response trace
+    // and its postmortem are views over the same harvested records.
+    auto req = fastRequest();
+    req.traceId = "one-tree";
+    auto cold = service.serve(req);
+    ASSERT_TRUE(cold.ok);
+    ASSERT_FALSE(cold.trace.isNull());
+    EXPECT_EQ(cold.trace.get("trace_id").asString(), "one-tree");
+    Json slowlog = service.slowlogJson(1);
+    const Json &pm = slowlog.get("postmortems").at(0);
+    EXPECT_GT(pm.get("flight_seq").asInt(), 0);
+    const Json &spans = cold.trace.get("spans");
+    EXPECT_EQ(spans.dump(), pm.get("trace").get("spans").dump());
+    ASSERT_GE(spans.size(), 1u);
+    EXPECT_EQ(spans.at(0).get("name").asString(), "serve.compile");
+
+    // Args are objects, and the ones the served path relies on fit
+    // the inline budget whole.
+    const Json &compile_args = spans.at(0).get("args");
+    EXPECT_EQ(compile_args.get("key").asString(), req.cacheKey());
+    EXPECT_GE(std::stod(compile_args.get("queue_wait_ms").asString()),
+              0.0);
+    EXPECT_TRUE(argsWhole(compile_args));
+    std::vector<Json> enumerations;
+    collectSpans(spans, "mapping.enumerate", enumerations);
+    ASSERT_GE(enumerations.size(), 1u);
+    for (const auto &span : enumerations) {
+        const Json &args = span.get("args");
+        EXPECT_TRUE(args.has("computation"));
+        EXPECT_TRUE(args.has("intrinsic"));
+        EXPECT_TRUE(args.has("candidates"));
+        EXPECT_TRUE(argsWhole(args)) << span.dump();
+    }
+
+    // A traced cache hit renders the same way.
+    req.traceId = "one-tree-hit";
+    auto hit = service.serve(req);
+    ASSERT_TRUE(hit.ok);
+    EXPECT_EQ(hit.servedBy, "memory");
+    Json hit_slowlog = service.slowlogJson(1);
+    const Json &hit_pm = hit_slowlog.get("postmortems").at(0);
+    EXPECT_EQ(hit.trace.get("spans").dump(),
+              hit_pm.get("trace").get("spans").dump());
+    EXPECT_EQ(hit.trace.get("spans").at(0).get("name").asString(),
+              "serve.cache_hit");
+}
+
+/**
+ * cache.* counts tier lookups, serve.* counts responses by tier: a
+ * disk entry that no longer replays (its intrinsic is unknown) is a
+ * cache.disk_hits lookup but the response is a fresh compile.
+ */
+TEST(Service, StaleDiskEntryIsACacheHitButNotAServedHit)
+{
+    auto dir = freshDiskDir("stale");
+    auto req = fastRequest();
+    {
+        TieredCache::Options cache_options;
+        cache_options.diskDir = dir;
+        cache_options.diskShards = 4;
+        TieredCache cache(cache_options);
+        CacheEntry entry;
+        entry.intrinsicName = "no_such_intrinsic";
+        entry.mapping.groups = {{0}, {1}, {2}};
+        entry.cycles = 1.0;
+        cache.put(req.cacheKey(), entry);
+    }
+
+    ServeOptions options;
+    options.workers = 1;
+    options.cache.diskDir = dir;
+    options.cache.diskShards = 4;
+    options.warmOnStart = false;
+    CompileService service(options);
+    auto outcome = service.serve(req);
+    ASSERT_TRUE(outcome.ok);
+    EXPECT_EQ(outcome.servedBy, "compile");
+
+    auto stats = service.stats();
+    EXPECT_EQ(stats.metrics.at("cache.disk_hits"), 1u);
+    EXPECT_EQ(stats.metrics.at("serve.disk_hits"), 0u);
+    EXPECT_EQ(stats.diskHits, 0u);
+    EXPECT_EQ(stats.compiles, 1u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Service, ShedRequestsAreRetainedWithAdmissionState)
