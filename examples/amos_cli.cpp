@@ -4,7 +4,8 @@
  *
  * Compile an operator for a modelled accelerator, optionally through
  * a persistent tuning cache, list its valid mappings, or emit the
- * generated C kernel.
+ * tuned plan's packed C kernel (`void amos_exec_kernel(const void
+ * *const *inputs, void *output)`, the JIT tier's ABI).
  *
  * Examples:
  *   amos_cli --op conv2d --batch 16 --cin 128 --cout 128 \
@@ -63,7 +64,7 @@
 #include <optional>
 
 #include "amos/amos.hh"
-#include "codegen/codegen.hh"
+#include "codegen/exec_c.hh"
 #include "explore/trace_io.hh"
 #include "mapping/execute.hh"
 #include "mapping/generate.hh"
@@ -343,11 +344,21 @@ runCli(const Args &args)
     if (!emit_path.empty()) {
         expect(result.tensorized && result.tuning.bestPlan,
                "--emit-c requires a tensorized result");
-        CodegenOptions cg;
-        cg.kernelName = "amos_kernel";
-        std::ofstream out(emit_path);
-        out << generateC(*result.tuning.bestPlan,
-                         result.tuning.bestSchedule, cg);
+        const MappingPlan &plan = *result.tuning.bestPlan;
+        ExecPlan ep(plan);
+        expect(ep.compiled(), "--emit-c: the tuned plan does not "
+               "lower to an executable kernel: ", ep.fallbackReason());
+        const auto &comp = plan.computation();
+        writeFileOrThrow(
+            emit_path,
+            generatePackedKernelC(
+                ep, comp.name() + " via " +
+                        plan.intrinsic().compute.name() +
+                        "\nmapping:  " + plan.mapping().signature(comp) +
+                        "\ncompute:  " + plan.computeMappingString() +
+                        "\nschedule: " +
+                        result.tuning.bestSchedule.toString()),
+            "--emit-c");
         std::fprintf(stderr, "wrote C kernel to %s\n",
                      emit_path.c_str());
     }

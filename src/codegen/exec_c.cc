@@ -463,7 +463,9 @@ emitPrologue(CWriter &w, const std::string &kind,
              const EmitTypes &types)
 {
     w.line("/* amos jit exec kernel (" + kind + ")");
-    w.line(" * " + sanitizeComment(description));
+    std::istringstream lines(sanitizeComment(description));
+    for (std::string l; std::getline(lines, l);)
+        w.line(" * " + l);
     w.line(" *");
     w.line(" * Loop order matches the stride-walk engine exactly, so");
     w.line(" * accumulation — floating-point bits and wrapped int32");

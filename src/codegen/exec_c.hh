@@ -3,11 +3,11 @@
  * Native lowering of compiled execution plans: turn the stride-walk
  * engine's precomputed tables (tensor/access_walk.hh,
  * mapping/exec_plan.hh) into a self-contained C translation unit the
- * JIT tier compiles at -O3 and dlopens.
+ * JIT tier compiles at -O3 and dlopens. This is the repository's
+ * only C emitter: `amos_cli --emit-c` writes the packed kernel of
+ * the tuned plan, annotated through the description.
  *
- * Unlike generateC (codegen.hh), which emits the *structural* kernel
- * of a mapping for human inspection and compile-and-run verification,
- * these emitters are an execution backend: every loop bound, stride,
+ * The emitters are an execution backend: every loop bound, stride,
  * and base address is baked in as a constant, operand pointers are
  * restrict-qualified, and partial flat addresses are hoisted out of
  * inner loops — so the system compiler can strength-reduce and
@@ -56,8 +56,9 @@ using ExecKernelFn = void (*)(const void *const *, void *);
  * is the accumulated output. `operandDtypes` gives the declared
  * dtype of each operand, inputs first, output last (an empty vector
  * means all-f32); the combination must be one the classifier admits
- * (quant/semantics.hh). `description` becomes a header comment (and
- * thereby part of the kernel's content hash).
+ * (quant/semantics.hh). `description` becomes a header comment, one
+ * ` * ` line per newline-separated line (and thereby part of the
+ * kernel's content hash).
  */
 std::string
 generateWalkKernelC(const AccessWalkPlan &plan, CombineKind combine,

@@ -1,7 +1,8 @@
-#include "execute.hh"
+#include "mapping/execute.hh"
 
+#include "codegen/exec_c.hh"
+#include "jit/jit.hh"
 #include "mapping/exec_plan.hh"
-#include "mapping/jit_hook.hh"
 #include "quant/semantics.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -365,19 +366,17 @@ interpretMappedPacked(const MappingPlan &plan,
         interpretMappedPackedT<InterpFloatOps>(plan, inputs, output);
 }
 
-/** The matching hook of the path being dispatched (or nullptr). */
-using MappedJitFn = bool (*)(const MappingPlan &, const ExecPlan &,
-                             const std::vector<const Buffer *> &,
-                             Buffer &, std::string *);
-
-/** Shared engine-selection logic of the two mapped executors. */
-template <typename SelectHook, typename RunCompiled,
+/**
+ * Shared engine-selection logic of the two mapped executors.
+ * `emitKernel` lowers the compiled plan to the path's JIT kernel.
+ */
+template <typename EmitKernel, typename RunCompiled,
           typename RunInterp>
 ExecReport
 dispatchMapped(const char *spanName, const MappingPlan &plan,
                const std::vector<const Buffer *> &inputs,
                Buffer &output, const ExecOptions &opts,
-               SelectHook &&selectHook, RunCompiled &&runCompiled,
+               EmitKernel &&emitKernel, RunCompiled &&runCompiled,
                RunInterp &&runInterp)
 {
     TraceSpan span(spanName, "exec");
@@ -391,14 +390,11 @@ dispatchMapped(const char *spanName, const MappingPlan &plan,
             ep.compiled() && ep.buffersMatch(inputs, output, &why);
 
         if (engine == ExecEngine::Jit) {
-            const MappedJitHooks *hooks = mappedJitHooks();
-            MappedJitFn fn = hooks ? selectHook(*hooks) : nullptr;
             std::string jitWhy;
             if (!fits)
                 jitWhy = why;
-            else if (!fn)
-                jitWhy = "jit tier not linked";
-            else if (fn(plan, ep, inputs, output, &jitWhy)) {
+            else if (runJitKernel(emitKernel(ep), inputs, output,
+                                  &jitWhy)) {
                 metrics.counter("exec.jit_runs").add();
                 span.arg("engine", "jit");
                 report.engine = "jit";
@@ -456,7 +452,11 @@ executeMappedDirect(const MappingPlan &plan,
             plan.computation().name(), "): ", sem.reason);
     return dispatchMapped(
         "exec.direct", plan, inputs, output, opts,
-        [](const MappedJitHooks &h) { return h.runDirect; },
+        [&](const ExecPlan &ep) {
+            return generateDirectKernelC(
+                ep, "direct mapped nest of " +
+                        plan.computation().name());
+        },
         [&](const ExecPlan &ep) {
             return ep.runDirect(inputs, output, opts);
         },
@@ -486,7 +486,11 @@ executeMappedPacked(const MappingPlan &plan,
             plan.computation().name(), "): ", sem.reason);
     return dispatchMapped(
         "exec.packed", plan, inputs, output, opts,
-        [](const MappedJitHooks &h) { return h.runPacked; },
+        [&](const ExecPlan &ep) {
+            return generatePackedKernelC(
+                ep, "packed mapped nest of " +
+                        plan.computation().name());
+        },
         [&](const ExecPlan &ep) {
             return ep.runPacked(inputs, output, opts);
         },

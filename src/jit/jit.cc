@@ -293,4 +293,28 @@ JitEngine::getOrCompile(const std::string &source, std::string *why)
     return entry->fn;
 }
 
+bool
+runJitKernel(const std::string &source,
+             const std::vector<const Buffer *> &inputs,
+             Buffer &output, std::string *why)
+{
+    const char *ob = static_cast<const char *>(output.rawData());
+    const char *oe = ob + output.storageBytes();
+    for (const Buffer *in : inputs) {
+        const char *b = static_cast<const char *>(in->rawData());
+        if (b < oe && ob < b + in->storageBytes()) {
+            *why = "output buffer aliases an input";
+            return false;
+        }
+    }
+    ExecKernelFn fn = JitEngine::global().getOrCompile(source, why);
+    if (!fn)
+        return false;
+    const void *ptrs[kMaxWalkOperands] = {nullptr};
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+        ptrs[i] = inputs[i]->rawData();
+    fn(ptrs, output.rawData());
+    return true;
+}
+
 } // namespace amos

@@ -2,7 +2,9 @@
  * @file
  * Native-codegen JIT execution tier: compile generated C kernels with
  * the system compiler, cache the shared objects, and hand back
- * callable function pointers.
+ * callable function pointers. The engine-selecting executors
+ * (tensor/reference.hh, mapping/execute.hh) are defined in this
+ * library and call runJitKernel() directly for ExecEngine::Jit.
  *
  * Cache design mirrors the tuning cache: the key is a content hash
  * (FNV-1a over compiler + flags + generated source), so identical
@@ -34,8 +36,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "codegen/exec_c.hh"
+#include "tensor/tensor.hh"
 
 namespace amos {
 
@@ -74,7 +78,7 @@ class JitEngine
     JitEngine(const JitEngine &) = delete;
     JitEngine &operator=(const JitEngine &) = delete;
 
-    /** The process-wide engine the executor hooks compile through. */
+    /** The process-wide engine the executors compile through. */
     static JitEngine &global();
 
     /**
@@ -116,16 +120,17 @@ class JitEngine
     bool _compilerOk = false;
 };
 
-namespace jit {
-
 /**
- * Force the executor hooks to be installed even when the linker
- * dropped the static registrar (see mapping/jit_hook.hh). Calling
- * this from any binary that links amos_jit is always safe.
+ * Compile `source` (an exec kernel from codegen/exec_c.hh) through
+ * the global engine and run it on the operand buffers: `inputs` in
+ * order, then `output`. Returns false — with `why` — when the engine
+ * declines or the output aliases an input (the kernels declare their
+ * operands restrict, so aliasing would be undefined behaviour); the
+ * executors then fall back to the alias-safe stride walk.
  */
-void ensureLinked();
-
-} // namespace jit
+bool runJitKernel(const std::string &source,
+                  const std::vector<const Buffer *> &inputs,
+                  Buffer &output, std::string *why);
 
 } // namespace amos
 

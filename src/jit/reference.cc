@@ -1,11 +1,12 @@
-#include "reference.hh"
+#include "tensor/reference.hh"
 
+#include "codegen/exec_c.hh"
+#include "jit/jit.hh"
 #include "quant/semantics.hh"
 #include "quant/typed_exec.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/trace.hh"
-#include "tensor/jit_hook.hh"
 
 namespace amos {
 
@@ -76,6 +77,20 @@ walkFitsBuffers(const AccessWalkPlan &plan,
     return true;
 }
 
+/** The reference nest of `comp` as a JIT kernel source. */
+std::string
+walkKernelC(const TensorComputation &comp, const AccessWalkPlan &plan)
+{
+    std::vector<DataType> dtypes;
+    for (const auto &in : comp.inputs())
+        dtypes.push_back(in.decl.dtype());
+    dtypes.push_back(comp.output().dtype());
+    return generateWalkKernelC(plan, comp.combine(),
+                               comp.inputs().size(),
+                               "reference nest of " + comp.name(),
+                               dtypes);
+}
+
 } // namespace
 
 ExecReport
@@ -116,13 +131,11 @@ referenceExecute(const TensorComputation &comp,
                     walkFitsBuffers(*plan, comp, inputs, output, &why);
 
         if (engine == ExecEngine::Jit) {
-            const ReferenceJitHook *hook = referenceJitHook();
             std::string jitWhy;
             if (!fits)
                 jitWhy = why;
-            else if (!hook || !hook->run)
-                jitWhy = "jit tier not linked";
-            else if (hook->run(comp, *plan, inputs, output, &jitWhy)) {
+            else if (runJitKernel(walkKernelC(comp, *plan), inputs,
+                                  output, &jitWhy)) {
                 metrics.counter("exec.jit_runs").add();
                 span.arg("engine", "jit");
                 report.engine = "jit";

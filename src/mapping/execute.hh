@@ -27,10 +27,12 @@
  * identical for every thread count.
  *
  * With ExecEngine::Jit each path is additionally lowered to native
- * code through the registered JIT hooks (mapping/jit_hook.hh),
- * falling back to the stride walk — and then the interpreter — when
- * the tier declines (logged via exec.jit_fallback). All executors
- * return an ExecReport naming the tier that actually ran.
+ * code by codegen/exec_c.hh and compiled through the JIT engine
+ * (jit/jit.hh), falling back to the stride walk — and then the
+ * interpreter — when the tier declines (logged via
+ * exec.jit_fallback). All executors return an ExecReport naming the
+ * tier that actually ran. They are defined in the amos_jit library,
+ * which sits above codegen and the JIT engine they dispatch to.
  */
 
 #ifndef AMOS_MAPPING_EXECUTE_HH

@@ -2,7 +2,8 @@
  * @file
  * Reference interpreter: executes a TensorComputation directly as the
  * nested scalar loop it denotes. This is the semantic ground truth
- * that mapped/tiled executions are checked against.
+ * that mapped/tiled executions are checked against. Defined in the
+ * amos_jit library, which owns the engine dispatch.
  */
 
 #ifndef AMOS_TENSOR_REFERENCE_HH
@@ -25,10 +26,10 @@ namespace amos {
  * bit-identical to the scalar interpreter, which remains as the
  * transparent fallback for non-affine accesses or mismatched buffer
  * shapes (logged via the exec.fallback metric). With
- * ExecEngine::Jit the nest is lowered to native code through the
- * registered JIT hook (see tensor/jit_hook.hh), falling back to the
- * stride walk — and then the interpreter — when the tier declines
- * (logged via exec.jit_fallback).
+ * ExecEngine::Jit the nest is lowered to native code by
+ * codegen/exec_c.hh and compiled through jit/jit.hh, falling back to
+ * the stride walk — and then the interpreter — when the tier
+ * declines (logged via exec.jit_fallback).
  *
  * @param comp The computation to interpret.
  * @param inputs One buffer per computation input, in order.

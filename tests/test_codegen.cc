@@ -1,110 +1,102 @@
 /**
  * @file
  * Code-generation tests: structural checks of the emitted C and full
- * end-to-end verification — the generated source is compiled with
- * the host C compiler, loaded with dlopen, executed on pattern
- * inputs, and compared against the reference interpreter.
+ * end-to-end verification — the exec kernels of a mapping's compiled
+ * plan (codegen/exec_c.hh) are built by a private JitEngine under
+ * -std=c99 -Wall -Wextra -Werror, run on pattern inputs, and compared
+ * bit for bit against the interpreter of the same mapped path (and
+ * within float reordering error against the reference interpreter).
  */
 
 #include <gtest/gtest.h>
 
-#include <dlfcn.h>
-
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-
-#include "codegen/codegen.hh"
+#include "codegen/exec_c.hh"
 #include "isa/intrinsics.hh"
+#include "jit/jit.hh"
+#include "mapping/execute.hh"
 #include "mapping/generate.hh"
 #include "ops/operators.hh"
+#include "schedule/schedule.hh"
 #include "tensor/reference.hh"
 
 namespace amos {
 namespace {
 
-using KernelFn = void (*)(const float **, float *);
-
-/** Compile a generated source with the host cc and load the symbol. */
-class CompiledKernel
+/**
+ * One engine for the suite with warnings fatal. Its store is shared
+ * by concurrently running test processes, which the content-hashed,
+ * rename-installed cache supports.
+ */
+JitEngine &
+strictEngine()
 {
-  public:
-    CompiledKernel(const std::string &source,
-                   const std::string &symbol)
-    {
-        char src_path[] = "/tmp/amos_codegen_XXXXXX";
-        int fd = mkstemp(src_path);
-        if (fd < 0)
-            return;
-        close(fd);
-        _src = std::string(src_path) + ".c";
-        std::rename(src_path, _src.c_str());
-        {
-            std::ofstream out(_src);
-            out << source;
-        }
-        _lib = _src + ".so";
-        std::string cmd = "cc -shared -fPIC -O1 -o " + _lib + " " +
-                          _src + " 2>/tmp/amos_codegen_err.txt";
-        if (std::system(cmd.c_str()) != 0)
-            return;
-        _handle = dlopen(_lib.c_str(), RTLD_NOW);
-        if (!_handle)
-            return;
-        _fn = reinterpret_cast<KernelFn>(
-            dlsym(_handle, symbol.c_str()));
-    }
+    static JitEngine engine([] {
+        JitOptions opts = JitOptions::fromEnv();
+        opts.flags += " -std=c99 -Wall -Wextra -Werror";
+        opts.cacheDir = ::testing::TempDir() + "amos-codegen-jit";
+        return opts;
+    }());
+    return engine;
+}
 
-    ~CompiledKernel()
-    {
-        if (_handle)
-            dlclose(_handle);
-        if (!_src.empty()) {
-            std::remove(_src.c_str());
-            std::remove(_lib.c_str());
-        }
-    }
-
-    bool ok() const { return _fn != nullptr; }
-    KernelFn fn() const { return _fn; }
-
-  private:
-    std::string _src, _lib;
-    void *_handle = nullptr;
-    KernelFn _fn = nullptr;
-};
+/** Build `source` and run it on `inputs`; false if it did not build. */
+bool
+runKernel(const std::string &source,
+          const std::vector<const Buffer *> &inputs, Buffer &output)
+{
+    std::string why;
+    ExecKernelFn fn = strictEngine().getOrCompile(source, &why);
+    EXPECT_NE(fn, nullptr) << "kernel failed to build: " << why
+                           << "\n"
+                           << source.substr(0, 2000);
+    if (!fn)
+        return false;
+    std::vector<const void *> ptrs;
+    for (const Buffer *in : inputs)
+        ptrs.push_back(in->rawData());
+    fn(ptrs.data(), output.rawData());
+    return true;
+}
 
 /**
- * Generate, compile, run, and return the max deviation from the
- * reference interpreter.
+ * Emit, compile and run both exec kernels of `plan`; each must be
+ * bit-identical to the interpreter of its own mapped path. Returns
+ * the largest deviation from the reference interpreter.
  */
 float
-codegenError(const MappingPlan &plan, const Schedule &sched)
+codegenError(const MappingPlan &plan)
 {
-    CodegenOptions options;
-    options.kernelName = "amos_test_kernel";
-    auto source = generateC(plan, sched, options);
-
-    CompiledKernel kernel(source, options.kernelName);
-    EXPECT_TRUE(kernel.ok()) << "host compilation failed:\n"
-                             << source.substr(0, 2000);
-    if (!kernel.ok())
+    ExecPlan ep(plan);
+    EXPECT_TRUE(ep.compiled()) << ep.fallbackReason();
+    if (!ep.compiled())
         return 1e9f;
 
     const auto &comp = plan.computation();
     auto inputs = makePatternInputs(comp, 21);
-    std::vector<const float *> ptrs;
+    std::vector<const Buffer *> ptrs;
     for (const auto &b : inputs)
-        ptrs.push_back(b.data());
-    Buffer out(comp.output());
-    kernel.fn()(ptrs.data(), out.data());
+        ptrs.push_back(&b);
+    ExecOptions interp;
+    interp.engine = ExecEngine::Interpreter;
 
-    std::vector<const Buffer *> bufs;
-    for (const auto &b : inputs)
-        bufs.push_back(&b);
     Buffer ref(comp.output());
-    referenceExecute(comp, bufs, ref);
-    return ref.maxAbsDiff(out);
+    referenceExecute(comp, ptrs, ref, interp);
+
+    Buffer directInterp(comp.output()), direct(comp.output());
+    executeMappedDirect(plan, ptrs, directInterp, interp);
+    if (!runKernel(generateDirectKernelC(ep, "direct"), ptrs, direct))
+        return 1e9f;
+    EXPECT_EQ(direct.maxAbsDiff(directInterp), 0.0f);
+    EXPECT_TRUE(direct.bitEqual(directInterp));
+
+    Buffer packedInterp(comp.output()), packed(comp.output());
+    executeMappedPacked(plan, ptrs, packedInterp, interp);
+    if (!runKernel(generatePackedKernelC(ep, "packed"), ptrs, packed))
+        return 1e9f;
+    EXPECT_EQ(packed.maxAbsDiff(packedInterp), 0.0f);
+    EXPECT_TRUE(packed.bitEqual(packedInterp));
+
+    return std::max(ref.maxAbsDiff(direct), ref.maxAbsDiff(packed));
 }
 
 ops::ConvParams
@@ -127,30 +119,28 @@ TEST(Codegen, EmitsStructuredSource)
     ComputeMapping m;
     m.groups = {{0, 2, 3}, {1}, {4, 5, 6}};
     MappingPlan plan(conv, isa::wmmaTiny(), m);
-    auto source = generateC(plan, defaultSchedule(plan), {});
-    EXPECT_NE(source.find("void amos_kernel"), std::string::npos);
-    EXPECT_NE(source.find("intrinsic_tile"), std::string::npos);
-    EXPECT_NE(source.find("calloc"), std::string::npos);
-    EXPECT_NE(source.find("free(packed"), std::string::npos);
-    // The mapping signature appears in the header comment.
-    EXPECT_NE(source.find("[n,p,q | k | c,r,s]"), std::string::npos);
-    // Schedule bindings appear when factors exceed 1.
+    ExecPlan ep(plan);
+    ASSERT_TRUE(ep.compiled()) << ep.fallbackReason();
     auto sched = defaultSchedule(plan);
     sched.axes[0].blockFactor = 2;
-    auto bound = generateC(plan, sched, {});
-    EXPECT_NE(bound.find("bind blockIdx"), std::string::npos);
-}
 
-TEST(Codegen, CommentsCanBeDisabled)
-{
-    auto gemm = ops::makeGemm(4, 4, 4);
-    ComputeMapping m;
-    m.groups = {{0}, {1}, {2}};
-    MappingPlan plan(gemm, isa::wmmaTiny(), m);
-    CodegenOptions options;
-    options.comments = false;
-    auto source = generateC(plan, defaultSchedule(plan), options);
-    EXPECT_EQ(source.find("/*"), std::string::npos);
+    // The annotation lines amos_cli --emit-c puts in the header.
+    auto source = generatePackedKernelC(
+        ep, conv.name() + " via " + plan.intrinsic().compute.name() +
+                "\nmapping:  " + plan.mapping().signature(conv) +
+                "\ncompute:  " + plan.computeMappingString() +
+                "\nschedule: " + sched.toString());
+    EXPECT_NE(source.find("void amos_exec_kernel"), std::string::npos);
+    EXPECT_NE(source.find("calloc"), std::string::npos);
+    EXPECT_NE(source.find("free("), std::string::npos);
+
+    // Every annotation stays inside the header block comment.
+    const std::string header = source.substr(0, source.find("*/"));
+    EXPECT_NE(header.find(" * mapping:  [n,p,q | k | c,r,s]"),
+              std::string::npos);
+    EXPECT_NE(header.find(" * schedule: " + sched.toString()),
+              std::string::npos);
+    EXPECT_NE(sched.toString().find("2b/1w"), std::string::npos);
 }
 
 TEST(Codegen, RejectsInvalidPlan)
@@ -160,8 +150,11 @@ TEST(Codegen, RejectsInvalidPlan)
     m.groups = {{0, 1}, {}, {4, 5, 6}};
     MappingPlan plan(conv, isa::wmmaTiny(), m);
     ASSERT_FALSE(plan.valid());
-    EXPECT_THROW(generateC(plan, defaultSchedule(plan), {}),
-                 PanicError);
+    ExecPlan ep(plan);
+    EXPECT_FALSE(ep.compiled());
+    EXPECT_EQ(ep.fallbackReason(), "mapping plan failed validation");
+    EXPECT_THROW(generatePackedKernelC(ep, "invalid"), PanicError);
+    EXPECT_THROW(generateDirectKernelC(ep, "invalid"), PanicError);
 }
 
 TEST(Codegen, CompiledGemmMatchesReference)
@@ -170,7 +163,7 @@ TEST(Codegen, CompiledGemmMatchesReference)
     ComputeMapping m;
     m.groups = {{0}, {1}, {2}};
     MappingPlan plan(gemm, isa::wmmaTiny(), m);
-    EXPECT_LE(codegenError(plan, defaultSchedule(plan)), 1e-4f);
+    EXPECT_LE(codegenError(plan), 1e-4f);
 }
 
 TEST(Codegen, CompiledConvMappingsMatchReference)
@@ -182,9 +175,7 @@ TEST(Codegen, CompiledConvMappingsMatchReference)
     // Compiling 35 shared objects is slow; verify a spread sample.
     for (std::size_t i = 0; i < plans.size(); i += 6) {
         SCOPED_TRACE(plans[i].mapping().signature(conv));
-        EXPECT_LE(codegenError(plans[i],
-                               defaultSchedule(plans[i])),
-                  1e-4f);
+        EXPECT_LE(codegenError(plans[i]), 1e-4f);
     }
 }
 
@@ -194,16 +185,12 @@ TEST(Codegen, CompiledDepthwiseAndGemvMatchReference)
     auto gemv = ops::makeGemv(5, 9);
     auto gemv_plans = enumeratePlans(gemv, isa::wmmaTiny(), {});
     ASSERT_EQ(gemv_plans.size(), 1u);
-    EXPECT_LE(codegenError(gemv_plans[0],
-                           defaultSchedule(gemv_plans[0])),
-              1e-4f);
+    EXPECT_LE(codegenError(gemv_plans[0]), 1e-4f);
 
     auto dep = ops::makeDepthwiseConv2d(tinyConv(), 2);
     auto dep_plans = enumeratePlans(dep, isa::wmmaTiny(), {});
     ASSERT_GT(dep_plans.size(), 0u);
-    EXPECT_LE(codegenError(dep_plans.front(),
-                           defaultSchedule(dep_plans.front())),
-              1e-4f);
+    EXPECT_LE(codegenError(dep_plans.front()), 1e-4f);
 }
 
 TEST(Codegen, SumReduceIntrinsicCode)
@@ -225,9 +212,7 @@ TEST(Codegen, SumReduceIntrinsicCode)
     Intrinsic intr{std::move(acc), std::move(mem)};
     auto plans = enumeratePlans(rowsum, intr, {});
     ASSERT_GT(plans.size(), 0u);
-    EXPECT_LE(codegenError(plans.front(),
-                           defaultSchedule(plans.front())),
-              1e-4f);
+    EXPECT_LE(codegenError(plans.front()), 1e-4f);
 }
 
 } // namespace

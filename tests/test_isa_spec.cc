@@ -181,10 +181,11 @@ TEST(IsaSpecEquivalence, GoldenMappingCountsMatchFixture)
                          : comps[c].comp;
             EXPECT_EQ(golden::countAddressable(comp, row.intr),
                       row.counts[c]);
-            if (it != hand.end())
+            if (it != hand.end()) {
                 EXPECT_EQ(
                     golden::countAddressable(comp, it->second),
                     row.counts[c]);
+            }
         }
     }
     EXPECT_TRUE(sawSpecOnly);
@@ -460,8 +461,9 @@ expectStructuredOutcome(const Json &doc, const std::string &trace)
         isa::SpecVariantsResult variants;
         ASSERT_NO_THROW(variants =
                             isa::deriveVariants(*parsed.spec));
-        if (!variants.ok())
+        if (!variants.ok()) {
             EXPECT_FALSE(variants.diags.empty());
+        }
     } else {
         EXPECT_FALSE(parsed.diags.empty());
         for (const auto &d : parsed.diags) {
@@ -473,8 +475,9 @@ expectStructuredOutcome(const Json &doc, const std::string &trace)
     // The hardware-target loader shares the contract.
     hw::TargetLoadResult target;
     ASSERT_NO_THROW(target = hw::targetFromSpecJson(doc));
-    if (!target.ok())
+    if (!target.ok()) {
         EXPECT_FALSE(target.diags.empty());
+    }
 }
 
 TEST(IsaSpecFuzz, TargetedMutationsProduceStableCodes)
@@ -776,19 +779,22 @@ TEST(IsaSpecFuzz, CorruptedTextNeverCrashes)
         for (std::size_t cut = 0; cut < text.size(); cut += 16) {
             auto res = isa::parseIntrinsicSpecText(
                 text.substr(0, cut));
-            if (!res.ok())
+            if (!res.ok()) {
                 EXPECT_FALSE(res.diags.empty());
+            }
         }
         for (int i = 0; i < 256; ++i) {
             std::string mutated = text;
             std::size_t pos = next() % mutated.size();
             mutated[pos] = static_cast<char>(next() % 128);
             auto res = isa::parseIntrinsicSpecText(mutated);
-            if (!res.ok())
+            if (!res.ok()) {
                 EXPECT_FALSE(res.diags.empty());
+            }
             auto target = hw::targetFromSpecText(mutated);
-            if (!target.ok())
+            if (!target.ok()) {
                 EXPECT_FALSE(target.diags.empty());
+            }
         }
     }
 }

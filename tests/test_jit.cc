@@ -10,7 +10,8 @@
  * The whole suite is compiler-agnostic: when no system compiler is
  * available (CI runs it once with AMOS_JIT_CC=/nonexistent), the
  * differential checks still pass via the fallback tiers and the
- * cache tests skip.
+ * cache tests skip. JitTier.MissingCompilerFallsBackToWalk is the
+ * converse: it only runs without a compiler, as its own ctest entry.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +30,6 @@
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/flight_recorder.hh"
-#include "tensor/jit_hook.hh"
 #include "tensor/reference.hh"
 
 namespace amos {
@@ -290,8 +290,9 @@ TEST(JitTier, QuantizedReferencePathBitExact)
     ExecReport report = referenceExecute(q, ptrs, viaJit, jit);
 
     EXPECT_TRUE(viaJit.bitEqual(viaInterp));
-    if (jitCompilerUsable())
+    if (jitCompilerUsable()) {
         EXPECT_EQ(report.engine, "jit") << report.jitFallback;
+    }
 }
 
 TEST(JitCache, MemoryHitAfterFirstCompile)
@@ -424,37 +425,55 @@ TEST(JitCache, KeysSeparateConfigurations)
     EXPECT_NE(ea.keyFor(src), ea.keyFor(src + " "));
 }
 
-TEST(JitTier, UnlinkedHookFallsBackToWalk)
+TEST(JitTier, MissingCompilerFallsBackToWalk)
 {
-    // Simulate a binary built without amos_jit: clear the hooks and
-    // check the tier degrades to the stride walk with the documented
-    // reason and metric, then restore via the ensureLinked escape
-    // hatch.
+    // Runs as its own ctest entry with AMOS_JIT_CC pointing at a
+    // missing compiler: all three JIT paths must decline with a
+    // reason naming that compiler, count the fallback, and answer
+    // from the stride walk bit-identically to the interpreter.
+    if (jitCompilerUsable())
+        GTEST_SKIP() << "needs AMOS_JIT_CC naming a missing compiler";
+    const std::string cc = JitEngine::global().options().compiler;
+
     auto gemm = ops::makeGemm(4, 4, 4);
+    auto plans = enumeratePlans(gemm, isa::wmmaTiny(), {});
+    ASSERT_EQ(plans.size(), 1u);
     auto inputs = makePatternInputs(gemm, 7);
     std::vector<const Buffer *> ptrs;
     for (const auto &b : inputs)
         ptrs.push_back(&b);
 
-    setReferenceJitHook(nullptr);
     auto &fallbacks =
         MetricsRegistry::global().counter("exec.jit_fallback");
     const std::uint64_t before = fallbacks.value();
-
+    ExecOptions interp;
+    interp.engine = ExecEngine::Interpreter;
     ExecOptions jit;
     jit.engine = ExecEngine::Jit;
-    Buffer out(gemm.output());
-    ExecReport report = referenceExecute(gemm, ptrs, out, jit);
-    EXPECT_EQ(report.engine, "walk");
-    EXPECT_EQ(report.jitFallback, "jit tier not linked");
-    EXPECT_EQ(fallbacks.value(), before + 1);
 
-    jit::ensureLinked();
-    Buffer out2(gemm.output());
-    ExecReport restored = referenceExecute(gemm, ptrs, out2, jit);
-    if (jitCompilerUsable())
-        EXPECT_EQ(restored.engine, "jit") << restored.jitFallback;
-    EXPECT_EQ(out.maxAbsDiff(out2), 0.0f);
+    Buffer refInterp(gemm.output()), ref(gemm.output());
+    referenceExecute(gemm, ptrs, refInterp, interp);
+    ExecReport refReport = referenceExecute(gemm, ptrs, ref, jit);
+    Buffer directInterp(gemm.output()), direct(gemm.output());
+    executeMappedDirect(plans[0], ptrs, directInterp, interp);
+    ExecReport directReport =
+        executeMappedDirect(plans[0], ptrs, direct, jit);
+    Buffer packedInterp(gemm.output()), packed(gemm.output());
+    executeMappedPacked(plans[0], ptrs, packedInterp, interp);
+    ExecReport packedReport =
+        executeMappedPacked(plans[0], ptrs, packed, jit);
+
+    for (const ExecReport *r : {&refReport, &directReport,
+                                &packedReport}) {
+        EXPECT_EQ(r->engine, "walk");
+        EXPECT_NE(r->jitFallback.find("'" + cc + "'"),
+                  std::string::npos)
+            << r->jitFallback;
+    }
+    EXPECT_EQ(fallbacks.value(), before + 3);
+    EXPECT_TRUE(ref.bitEqual(refInterp));
+    EXPECT_TRUE(direct.bitEqual(directInterp));
+    EXPECT_TRUE(packed.bitEqual(packedInterp));
 }
 
 TEST(JitTier, FuzzedNonAffineAccessFallsThrough)

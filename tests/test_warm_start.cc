@@ -77,8 +77,9 @@ TEST(ShapeFeature, DistanceGrowsWithScale)
     for (std::int64_t m : {64, 128, 256, 512, 1024}) {
         double d = shapeDistance(base, gemmFeature(m, 64, 64));
         EXPECT_GE(d, prev);
-        if (m > 64)
+        if (m > 64) {
             EXPECT_GT(d, prev);
+        }
         prev = d;
     }
 }
