@@ -131,7 +131,7 @@ runBench(bool tiny)
             return elems / s;
         };
         ExecOptions interp;
-        interp.forceInterpreter = true;
+        interp.engine = ExecEngine::Interpreter;
         ExecOptions serial;
         ExecOptions parallel;
         parallel.numThreads = 4;

@@ -270,18 +270,18 @@ runCli(const Args &args)
     if (want_explain)
         explain = report::explainResult(result, comp, hw);
 
-    // --engine auto|interpreter|walk|jit: differentially verify the
-    // tuned mapping on the functional simulator's requested tier.
-    // Without the flag, small operators (<= 2^25 iterations) are
-    // verified on the default tier for free; huge ones are skipped.
+    // --engine interpreter|walk|jit: differentially verify the tuned
+    // mapping on the functional simulator's requested tier. Without
+    // the flag, small operators (<= 2^25 iterations) are verified on
+    // the default (walk) tier for free; huge ones are skipped.
     const std::string engine_name = args.str("engine", "");
-    ExecEngine engine = ExecEngine::Auto;
+    ExecEngine engine = ExecOptions{}.engine;
     if (!engine_name.empty()) {
         auto parsed = parseExecEngine(engine_name);
         if (!parsed)
             throw std::runtime_error(
                 "--engine: unknown engine '" + engine_name +
-                "' (expected auto|interpreter|walk|jit)");
+                "' (expected interpreter|walk|jit)");
         engine = *parsed;
     }
     const bool verify =
@@ -293,8 +293,11 @@ runCli(const Args &args)
     float exec_diff = 0.0f;
     if (verify) {
         ExecReport direct;
-        exec_diff = engineVsInterpreterError(
-            *result.tuning.bestPlan, engine, req.seed, &direct);
+        exec_diff = static_cast<float>(
+            engineVsInterpreterCompare(*result.tuning.bestPlan, engine,
+                                       quant::ToleranceSpec::exactly(),
+                                       req.seed, 1, &direct)
+                .maxAbsErr);
         engine_used = direct.engine;
         jit_fallback = direct.jitFallback;
     }

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "support/logging.hh"
+#include "support/subprocess.hh"
 
 namespace amos {
 
@@ -298,19 +299,11 @@ TuningCache::fromJson(const Json &json)
 void
 TuningCache::saveFile(const std::string &path) const
 {
-    // Write-temp-then-rename: a crash mid-write leaves the previous
-    // file intact, and rename() within a directory is atomic, so a
-    // concurrent loadFile sees either the old or the new document.
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        expect(out.good(), "TuningCache: cannot write ", tmp);
-        out << toJson().dump() << "\n";
-        out.flush();
-        expect(out.good(), "TuningCache: short write to ", tmp);
-    }
-    expect(std::rename(tmp.c_str(), path.c_str()) == 0,
-           "TuningCache: cannot rename ", tmp, " to ", path);
+    // Write-temp-then-rename (support/subprocess.hh): a crash
+    // mid-write leaves the previous file intact, a concurrent
+    // loadFile sees either the old or the new document, and two
+    // processes saving one path never share a temp file.
+    writeFileAtomic(path, toJson().dump() + "\n");
 }
 
 TuningCache

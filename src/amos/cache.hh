@@ -100,8 +100,9 @@ class TuningCache
 
     /**
      * Persist to / restore from a file (JSON document). saveFile is
-     * crash-safe: it writes a sibling temp file and rename()s it
-     * into place, so readers never observe a torn document.
+     * crash-safe: it writes a uniquely named sibling temp file and
+     * rename()s it into place (writeFileAtomic), so readers never
+     * observe a torn document and concurrent writers never fail.
      * loadFile raises fatal() only when the file cannot be opened;
      * unparseable content yields an empty cache with a warning.
      */

@@ -8,6 +8,7 @@
 
 #include "model/perf_model.hh"
 #include "support/logging.hh"
+#include "support/subprocess.hh"
 
 namespace amos {
 
@@ -195,18 +196,9 @@ LearnedModel::fromJson(const Json &json)
 void
 LearnedModel::saveFile(const std::string &path) const
 {
-    // Same write-temp-then-rename discipline as TuningCache::saveFile,
-    // so a hot-reloading server never observes a half-written model.
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        expect(out.good(), "LearnedModel: cannot write ", tmp);
-        out << toJson().dump() << "\n";
-        out.flush();
-        expect(out.good(), "LearnedModel: short write to ", tmp);
-    }
-    expect(std::rename(tmp.c_str(), path.c_str()) == 0,
-           "LearnedModel: cannot rename ", tmp, " to ", path);
+    // Same atomic replace as TuningCache::saveFile, so a
+    // hot-reloading server never observes a half-written model.
+    writeFileAtomic(path, toJson().dump() + "\n");
 }
 
 std::optional<LearnedModel>

@@ -1,9 +1,12 @@
 #include "mapping/execute.hh"
 
+#include <optional>
+
 #include "codegen/exec_c.hh"
 #include "jit/jit.hh"
 #include "mapping/exec_plan.hh"
 #include "quant/semantics.hh"
+#include "quant/typed_exec.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/trace.hh"
@@ -63,6 +66,41 @@ readAccess(const Buffer &buf, const std::vector<Expr> &indices,
     return buf.flatten(scratch);
 }
 
+/**
+ * One scalar update at the bound software coordinates: read the
+ * operands through their access expressions and accumulate into the
+ * output. IntDot accumulates exactly through the integer lanes; the
+ * float disciplines use the converting view (exact widening for bf16
+ * inputs, since their output is f32).
+ */
+void
+applyUpdate(const TensorComputation &comp, bool intDot,
+            const std::vector<const Buffer *> &inputs, Buffer &output,
+            const VarBinding &binding,
+            std::vector<std::int64_t> &scratch)
+{
+    const bool mulAdd = comp.combine() == CombineKind::MultiplyAdd;
+    std::int64_t out_flat =
+        readAccess(output, comp.outputIndices(), binding, scratch);
+    std::int64_t in0_flat = readAccess(
+        *inputs[0], comp.inputs()[0].indices, binding, scratch);
+    std::int64_t in1_flat =
+        mulAdd ? readAccess(*inputs[1], comp.inputs()[1].indices,
+                            binding, scratch)
+               : -1;
+    if (intDot) {
+        std::int64_t update = inputs[0]->intAt(in0_flat);
+        if (mulAdd)
+            update *= inputs[1]->intAt(in1_flat);
+        output.intAccumulate(out_flat, update);
+    } else {
+        float update = inputs[0]->at(in0_flat);
+        if (mulAdd)
+            update *= inputs[1]->at(in1_flat);
+        output.accumulate(out_flat, update);
+    }
+}
+
 /** Scalar interpreter for the direct path (fallback + baseline). */
 void
 interpretMappedDirect(const MappingPlan &plan,
@@ -71,9 +109,6 @@ interpretMappedDirect(const MappingPlan &plan,
 {
     const auto &comp = plan.computation();
     const auto &intr = plan.intrinsic().compute;
-    // IntDot accumulates exactly through the integer lanes; the
-    // float disciplines use the converting view (exact widening for
-    // bf16 inputs, since their output is f32).
     const bool intDot = quant::classifyComputation(comp).kind ==
                         quant::KernelSemantics::IntDot;
 
@@ -124,30 +159,8 @@ interpretMappedDirect(const MappingPlan &plan,
                         sw_coords[s];
             }
             stale = K;
-
-            std::int64_t out_flat = readAccess(
-                output, comp.outputIndices(), binding, scratch);
-            const bool mulAdd =
-                comp.combine() == CombineKind::MultiplyAdd;
-            std::int64_t in0_flat = readAccess(
-                *inputs[0], comp.inputs()[0].indices, binding,
-                scratch);
-            std::int64_t in1_flat =
-                mulAdd ? readAccess(*inputs[1],
-                                    comp.inputs()[1].indices, binding,
-                                    scratch)
-                       : -1;
-            if (intDot) {
-                std::int64_t update = inputs[0]->intAt(in0_flat);
-                if (mulAdd)
-                    update *= inputs[1]->intAt(in1_flat);
-                output.intAccumulate(out_flat, update);
-            } else {
-                float update = inputs[0]->at(in0_flat);
-                if (mulAdd)
-                    update *= inputs[1]->at(in1_flat);
-                output.accumulate(out_flat, update);
-            }
+            applyUpdate(comp, intDot, inputs, output, binding,
+                        scratch);
         });
     });
 }
@@ -367,34 +380,116 @@ interpretMappedPacked(const MappingPlan &plan,
 }
 
 /**
- * Shared engine-selection logic of the two mapped executors.
- * `emitKernel` lowers the compiled plan to the path's JIT kernel.
+ * Reference interpreter: an odometer over the software domain,
+ * rebinding only the coordinates the odometer actually moved.
  */
-template <typename EmitKernel, typename RunCompiled,
+void
+interpretReference(const TensorComputation &comp,
+                   const std::vector<const Buffer *> &inputs,
+                   Buffer &output)
+{
+    const auto &iters = comp.iters();
+    std::vector<std::int64_t> extents;
+    for (const auto &iv : iters)
+        extents.push_back(iv.extent);
+
+    const bool intDot = quant::classifyComputation(comp).kind ==
+                        quant::KernelSemantics::IntDot;
+    VarBinding binding;
+    std::vector<std::int64_t> scratch;
+    forEachIndexDelta(extents, [&](const std::vector<std::int64_t>
+                                       &idx,
+                                   std::size_t dirty) {
+        for (std::size_t i = dirty; i < iters.size(); ++i)
+            binding[iters[i].var.node()] = idx[i];
+        applyUpdate(comp, intDot, inputs, output, binding, scratch);
+    });
+}
+
+/**
+ * The reference nest as a stride walk. The walk is an address
+ * generator; the loaders and accumulator carry the discipline (float
+ * MAC, exact int32 dot, bf16-widened MAC) so one body per combine
+ * kind covers every dtype path.
+ */
+WalkRunStats
+runReferenceWalk(const TensorComputation &comp,
+                 const quant::SemanticsInfo &sem,
+                 const AccessWalkPlan &plan,
+                 const std::vector<const Buffer *> &inputs,
+                 Buffer &output, int numThreads)
+{
+    WalkRunStats stats;
+    switch (comp.combine()) {
+      case CombineKind::MultiplyAdd:
+        quant::dispatchMulAdd(
+            sem, *inputs[0], *inputs[1], output,
+            [&](auto l0, auto l1, auto acc) {
+                stats = runAccessWalkParallel(
+                    plan, 2, plan.extents.size(), numThreads,
+                    [&](const std::int64_t *a) {
+                        acc.add(a[2], l0.load(a[0]) * l1.load(a[1]));
+                    });
+            });
+        break;
+      case CombineKind::SumReduce:
+        quant::dispatchSum(
+            sem, *inputs[0], output, [&](auto l0, auto acc) {
+                stats = runAccessWalkParallel(
+                    plan, 1, plan.extents.size(), numThreads,
+                    [&](const std::int64_t *a) {
+                        acc.add(a[1], l0.load(a[0]));
+                    });
+            });
+        break;
+    }
+    return stats;
+}
+
+/** The reference nest of `comp` as a JIT kernel source. */
+std::string
+walkKernelC(const TensorComputation &comp, const AccessWalkPlan &plan)
+{
+    std::vector<DataType> dtypes;
+    for (const auto &in : comp.inputs())
+        dtypes.push_back(in.decl.dtype());
+    dtypes.push_back(comp.output().dtype());
+    return generateWalkKernelC(plan, comp.combine(),
+                               comp.inputs().size(),
+                               "reference nest of " + comp.name(),
+                               dtypes);
+}
+
+/**
+ * The one execution tier ladder behind every executor entry point:
+ * the JIT kernel when requested, then the stride walk, then the
+ * interpreter. `compile` lowers the nest to stride tables and
+ * returns why they cannot run on these buffers (empty when they
+ * can); it is skipped when the interpreter is requested, and
+ * `emitKernel` / `runWalk` only run after it succeeded. Every tier
+ * change is counted (exec.jit_fallback, exec.fallback), annotated on
+ * the span and logged at debug level.
+ */
+template <typename Compile, typename EmitKernel, typename RunWalk,
           typename RunInterp>
 ExecReport
-dispatchMapped(const char *spanName, const MappingPlan &plan,
-               const std::vector<const Buffer *> &inputs,
-               Buffer &output, const ExecOptions &opts,
-               EmitKernel &&emitKernel, RunCompiled &&runCompiled,
-               RunInterp &&runInterp)
+runTierLadder(const char *spanName, const TensorComputation &comp,
+              const std::vector<const Buffer *> &inputs,
+              Buffer &output, const ExecOptions &opts,
+              Compile &&compile, EmitKernel &&emitKernel,
+              RunWalk &&runWalk, RunInterp &&runInterp)
 {
     TraceSpan span(spanName, "exec");
     auto &metrics = MetricsRegistry::global();
     ExecReport report;
-    const ExecEngine engine = opts.resolvedEngine();
-    if (engine != ExecEngine::Interpreter) {
-        ExecPlan ep(plan);
-        std::string why = ep.fallbackReason();
-        const bool fits =
-            ep.compiled() && ep.buffersMatch(inputs, output, &why);
+    if (opts.engine != ExecEngine::Interpreter) {
+        const std::string why = compile();
+        const bool fits = why.empty();
 
-        if (engine == ExecEngine::Jit) {
-            std::string jitWhy;
-            if (!fits)
-                jitWhy = why;
-            else if (runJitKernel(emitKernel(ep), inputs, output,
-                                  &jitWhy)) {
+        if (opts.engine == ExecEngine::Jit) {
+            std::string jitWhy = why;
+            if (fits &&
+                runJitKernel(emitKernel(), inputs, output, &jitWhy)) {
                 metrics.counter("exec.jit_runs").add();
                 span.arg("engine", "jit");
                 report.engine = "jit";
@@ -403,13 +498,12 @@ dispatchMapped(const char *spanName, const MappingPlan &plan,
             metrics.counter("exec.jit_fallback").add();
             span.arg("jit_fallback", jitWhy);
             report.jitFallback = jitWhy;
-            AMOS_LOG(Debug)
-                << spanName << " jit tier falls back for "
-                << plan.computation().name() << ": " << jitWhy;
+            AMOS_LOG(Debug) << spanName << " jit tier falls back for "
+                            << comp.name() << ": " << jitWhy;
         }
 
         if (fits) {
-            WalkRunStats stats = runCompiled(ep);
+            WalkRunStats stats = runWalk();
             noteWalkRun(span, stats, opts.numThreads);
             report.engine = "walk";
             report.threadsUsed = stats.threadsUsed;
@@ -417,9 +511,9 @@ dispatchMapped(const char *spanName, const MappingPlan &plan,
         }
         metrics.counter("exec.fallback").add();
         span.arg("fallback", why);
-        AMOS_LOG(Debug)
-            << spanName << " falls back to the interpreter for "
-            << plan.computation().name() << ": " << why;
+        AMOS_LOG(Debug) << spanName
+                        << " falls back to the interpreter for "
+                        << comp.name() << ": " << why;
     }
     metrics.counter("exec.interpreter_runs").add();
     span.arg("engine", "interpreter");
@@ -427,14 +521,85 @@ dispatchMapped(const char *spanName, const MappingPlan &plan,
     return report;
 }
 
+/** Shared preconditions of the two mapped entry points. */
+void
+requireMappable(const char *entry, const MappingPlan &plan,
+                const std::vector<const Buffer *> &inputs)
+{
+    const auto &comp = plan.computation();
+    require(plan.valid(), entry, " on an invalid mapping for ",
+            comp.name());
+    require(inputs.size() == comp.inputs().size(), entry,
+            ": input count mismatch");
+    const auto sem = quant::classifyComputation(comp);
+    require(sem.supported, entry, "(", comp.name(), "): ", sem.reason);
+}
+
+/** Compile step of the mapped paths: the ExecPlan plus buffer fit. */
+std::string
+compileMapped(const MappingPlan &plan,
+              const std::vector<const Buffer *> &inputs,
+              const Buffer &output, std::optional<ExecPlan> &ep)
+{
+    ep.emplace(plan);
+    std::string why = ep->fallbackReason();
+    if (ep->compiled())
+        ep->buffersMatch(inputs, output, &why);
+    return why;
+}
+
 } // namespace
 
 ExecReport
-executeMappedDirect(const MappingPlan &plan,
-                    const std::vector<const Buffer *> &inputs,
-                    Buffer &output)
+referenceExecute(const TensorComputation &comp,
+                 const std::vector<const Buffer *> &inputs,
+                 Buffer &output, const ExecOptions &opts)
 {
-    return executeMappedDirect(plan, inputs, output, ExecOptions{});
+    require(inputs.size() == comp.inputs().size(),
+            "referenceExecute: expected ", comp.inputs().size(),
+            " inputs, got ", inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        require(inputs[i]->decl().numElements() ==
+                comp.inputs()[i].decl.numElements(),
+                "referenceExecute: input ", i, " size mismatch");
+    }
+    const auto sem = quant::classifyComputation(comp);
+    require(sem.supported, "referenceExecute(", comp.name(), "): ",
+            sem.reason);
+
+    std::optional<AccessWalkPlan> walk;
+    return runTierLadder(
+        "exec.reference", comp, inputs, output, opts,
+        [&] {
+            std::string why;
+            walk = compileReferenceWalk(comp, &why);
+            if (walk) {
+                std::vector<TensorDecl> decls;
+                for (const auto &in : comp.inputs())
+                    decls.push_back(in.decl);
+                decls.push_back(comp.output());
+                buffersMatchDecls(decls, inputs, output, &why);
+            }
+            return why;
+        },
+        [&] { return walkKernelC(comp, *walk); },
+        [&] {
+            return runReferenceWalk(comp, sem, *walk, inputs, output,
+                                    opts.numThreads);
+        },
+        [&] { interpretReference(comp, inputs, output); });
+}
+
+std::vector<Buffer>
+makePatternInputs(const TensorComputation &comp, std::uint64_t seed)
+{
+    std::vector<Buffer> bufs;
+    bufs.reserve(comp.inputs().size());
+    for (std::size_t i = 0; i < comp.inputs().size(); ++i) {
+        bufs.emplace_back(comp.inputs()[i].decl);
+        bufs.back().fillPattern(seed + i * 1315423911ULL);
+    }
+    return bufs;
 }
 
 ExecReport
@@ -442,33 +607,18 @@ executeMappedDirect(const MappingPlan &plan,
                     const std::vector<const Buffer *> &inputs,
                     Buffer &output, const ExecOptions &opts)
 {
-    require(plan.valid(),
-            "executeMappedDirect on an invalid mapping for ",
-            plan.computation().name());
-    require(inputs.size() == plan.computation().inputs().size(),
-            "executeMappedDirect: input count mismatch");
-    const auto sem = quant::classifyComputation(plan.computation());
-    require(sem.supported, "executeMappedDirect(",
-            plan.computation().name(), "): ", sem.reason);
-    return dispatchMapped(
-        "exec.direct", plan, inputs, output, opts,
-        [&](const ExecPlan &ep) {
+    requireMappable("executeMappedDirect", plan, inputs);
+    std::optional<ExecPlan> ep;
+    return runTierLadder(
+        "exec.direct", plan.computation(), inputs, output, opts,
+        [&] { return compileMapped(plan, inputs, output, ep); },
+        [&] {
             return generateDirectKernelC(
-                ep, "direct mapped nest of " +
-                        plan.computation().name());
+                *ep, "direct mapped nest of " +
+                         plan.computation().name());
         },
-        [&](const ExecPlan &ep) {
-            return ep.runDirect(inputs, output, opts);
-        },
-        [&]() { interpretMappedDirect(plan, inputs, output); });
-}
-
-ExecReport
-executeMappedPacked(const MappingPlan &plan,
-                    const std::vector<const Buffer *> &inputs,
-                    Buffer &output)
-{
-    return executeMappedPacked(plan, inputs, output, ExecOptions{});
+        [&] { return ep->runDirect(inputs, output, opts); },
+        [&] { interpretMappedDirect(plan, inputs, output); });
 }
 
 ExecReport
@@ -476,25 +626,18 @@ executeMappedPacked(const MappingPlan &plan,
                     const std::vector<const Buffer *> &inputs,
                     Buffer &output, const ExecOptions &opts)
 {
-    require(plan.valid(),
-            "executeMappedPacked on an invalid mapping for ",
-            plan.computation().name());
-    require(inputs.size() == plan.computation().inputs().size(),
-            "executeMappedPacked: input count mismatch");
-    const auto sem = quant::classifyComputation(plan.computation());
-    require(sem.supported, "executeMappedPacked(",
-            plan.computation().name(), "): ", sem.reason);
-    return dispatchMapped(
-        "exec.packed", plan, inputs, output, opts,
-        [&](const ExecPlan &ep) {
+    requireMappable("executeMappedPacked", plan, inputs);
+    std::optional<ExecPlan> ep;
+    return runTierLadder(
+        "exec.packed", plan.computation(), inputs, output, opts,
+        [&] { return compileMapped(plan, inputs, output, ep); },
+        [&] {
             return generatePackedKernelC(
-                ep, "packed mapped nest of " +
-                        plan.computation().name());
+                *ep, "packed mapped nest of " +
+                         plan.computation().name());
         },
-        [&](const ExecPlan &ep) {
-            return ep.runPacked(inputs, output, opts);
-        },
-        [&]() { interpretMappedPacked(plan, inputs, output); });
+        [&] { return ep->runPacked(inputs, output, opts); },
+        [&] { interpretMappedPacked(plan, inputs, output); });
 }
 
 float
@@ -516,63 +659,6 @@ mappedVsReferenceError(const MappingPlan &plan, std::uint64_t seed)
     executeMappedPacked(plan, ptrs, packed);
 
     return std::max(ref.maxAbsDiff(direct), ref.maxAbsDiff(packed));
-}
-
-float
-compiledVsInterpreterError(const MappingPlan &plan,
-                           std::uint64_t seed, int numThreads)
-{
-    const auto &comp = plan.computation();
-    auto inputs = makePatternInputs(comp, seed);
-    std::vector<const Buffer *> ptrs;
-    for (const auto &b : inputs)
-        ptrs.push_back(&b);
-
-    ExecOptions interp;
-    interp.forceInterpreter = true;
-    ExecOptions compiled;
-    compiled.numThreads = numThreads;
-
-    Buffer di(comp.output()), dc(comp.output());
-    executeMappedDirect(plan, ptrs, di, interp);
-    executeMappedDirect(plan, ptrs, dc, compiled);
-
-    Buffer pi(comp.output()), pc(comp.output());
-    executeMappedPacked(plan, ptrs, pi, interp);
-    executeMappedPacked(plan, ptrs, pc, compiled);
-
-    return std::max(di.maxAbsDiff(dc), pi.maxAbsDiff(pc));
-}
-
-float
-engineVsInterpreterError(const MappingPlan &plan, ExecEngine engine,
-                         std::uint64_t seed, ExecReport *directReport,
-                         ExecReport *packedReport)
-{
-    const auto &comp = plan.computation();
-    auto inputs = makePatternInputs(comp, seed);
-    std::vector<const Buffer *> ptrs;
-    for (const auto &b : inputs)
-        ptrs.push_back(&b);
-
-    ExecOptions interp;
-    interp.engine = ExecEngine::Interpreter;
-    ExecOptions tiered;
-    tiered.engine = engine;
-
-    Buffer di(comp.output()), dt(comp.output());
-    executeMappedDirect(plan, ptrs, di, interp);
-    ExecReport dr = executeMappedDirect(plan, ptrs, dt, tiered);
-
-    Buffer pi(comp.output()), pt(comp.output());
-    executeMappedPacked(plan, ptrs, pi, interp);
-    ExecReport pr = executeMappedPacked(plan, ptrs, pt, tiered);
-
-    if (directReport)
-        *directReport = dr;
-    if (packedReport)
-        *packedReport = pr;
-    return std::max(di.maxAbsDiff(dt), pi.maxAbsDiff(pt));
 }
 
 quant::CompareResult

@@ -1,8 +1,5 @@
 #include "jit.hh"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -31,15 +28,6 @@ hexKey(std::uint64_t key)
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(key));
     return buf;
-}
-
-/** Unique per-process suffix for temp files next to the target. */
-std::string
-tempSuffix()
-{
-    static std::atomic<std::uint64_t> counter{0};
-    return std::to_string(static_cast<long>(::getpid())) + "." +
-           std::to_string(counter.fetch_add(1));
 }
 
 } // namespace
@@ -190,7 +178,7 @@ JitEngine::build(std::uint64_t key, const std::string &source)
     if (!compilerAvailable(&why))
         return fail(std::move(why));
 
-    const std::string suffix = tempSuffix();
+    const std::string suffix = uniqueTempSuffix();
     const std::string srcPath = soPath + "." + suffix + ".c";
     const std::string tmpSo = soPath + "." + suffix + ".tmp";
     {

@@ -381,12 +381,11 @@ ExecPlan::compile(const MappingPlan &plan)
     }
     _combine = comp.combine();
     _numInputs = comp.inputs().size();
-    for (const auto &in : comp.inputs()) {
-        _inputShapes.push_back(in.decl.shape());
-        _operandDtypes.push_back(in.decl.dtype());
-    }
-    _operandDtypes.push_back(comp.output().dtype());
-    _outputShape = comp.output().shape();
+    for (const auto &in : comp.inputs())
+        _decls.push_back(in.decl);
+    _decls.push_back(comp.output());
+    for (const auto &decl : _decls)
+        _operandDtypes.push_back(decl.dtype());
     for (const auto &iv : comp.iters())
         _iterExtents.push_back(iv.extent);
     if (_iterExtents.size() > kMaxWalkLevels ||
@@ -457,14 +456,9 @@ ExecPlan::compileDirectOperands(const MappingPlan &plan)
         }
         op.tStride.assign(K, 0);
         op.outerStride.assign(A, 0);
-        if (op.minAddr < 0 || op.maxAddr >= bufSize) {
-            _reason = decl.name() + ": address box [" +
-                      std::to_string(op.minAddr) + ", " +
-                      std::to_string(op.maxAddr) +
-                      "] exceeds declared size " +
-                      std::to_string(bufSize);
+        if (!addressBoxFits(op.minAddr, op.maxAddr, bufSize,
+                            decl.name(), "declared size", &_reason))
             return false;
-        }
         _direct.push_back(std::move(op));
         return true;
     };
@@ -568,16 +562,12 @@ ExecPlan::compilePackedOperands(const MappingPlan &plan)
     for (std::size_t m = 0; m < _packed.size(); ++m) {
         _packed[m].minAddr = _stageB.operands[m].minAddr;
         _packed[m].maxAddr = _stageB.operands[m].maxAddr;
-        if (_packed[m].minAddr < 0 ||
-            _packed[m].maxAddr >= _packedSizes[m]) {
-            _reason = "packed stream of " + plan.operands()[m].name +
-                      ": address box [" +
-                      std::to_string(_packed[m].minAddr) + ", " +
-                      std::to_string(_packed[m].maxAddr) +
-                      "] exceeds packed size " +
-                      std::to_string(_packedSizes[m]);
+        if (!addressBoxFits(_packed[m].minAddr, _packed[m].maxAddr,
+                            _packedSizes[m],
+                            "packed stream of " +
+                                plan.operands()[m].name,
+                            "packed size", &_reason))
             return false;
-        }
     }
     return true;
 }
@@ -643,38 +633,7 @@ bool
 ExecPlan::buffersMatch(const std::vector<const Buffer *> &inputs,
                        const Buffer &output, std::string *why) const
 {
-    if (inputs.size() != _numInputs) {
-        if (why)
-            *why = "input count mismatch";
-        return false;
-    }
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        if (inputs[i]->decl().shape() != _inputShapes[i]) {
-            if (why)
-                *why = "input " + std::to_string(i) +
-                       " shape differs from the declared shape";
-            return false;
-        }
-        if (inputs[i]->storage() !=
-            dtypeStorageLane(_operandDtypes[i])) {
-            if (why)
-                *why = "input " + std::to_string(i) +
-                       " storage lane differs from the declared dtype";
-            return false;
-        }
-    }
-    if (output.decl().shape() != _outputShape) {
-        if (why)
-            *why = "output shape differs from the declared shape";
-        return false;
-    }
-    if (output.storage() != dtypeStorageLane(_operandDtypes.back())) {
-        if (why)
-            *why = "output storage lane differs from the declared "
-                   "dtype";
-        return false;
-    }
-    return true;
+    return buffersMatchDecls(_decls, inputs, output, why);
 }
 
 WalkRunStats

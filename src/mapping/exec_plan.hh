@@ -79,7 +79,8 @@ class ExecPlan
 
     /**
      * True iff the runtime buffers have exactly the declared shapes
-     * the stride tables were compiled from.
+     * and storage lanes the stride tables were compiled from (see
+     * buffersMatchDecls).
      */
     bool buffersMatch(const std::vector<const Buffer *> &inputs,
                       const Buffer &output,
@@ -181,8 +182,7 @@ class ExecPlan
     std::size_t _numInputs = 0;
     quant::SemanticsInfo _semantics;
     std::vector<DataType> _operandDtypes; ///< inputs..., output
-    std::vector<std::vector<std::int64_t>> _inputShapes;
-    std::vector<std::int64_t> _outputShape;
+    std::vector<TensorDecl> _decls;       ///< inputs..., output
     std::vector<std::int64_t> _iterExtents;
     std::vector<Axis> _axes;
     std::vector<Group> _groups;

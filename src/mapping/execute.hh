@@ -17,22 +17,25 @@
  *    output. Verifies the memory mapping: any error in the base
  *    address or stride arithmetic breaks the result.
  *
- * Both paths default to the compiled stride-walk engine (see
- * mapping/exec_plan.hh): the mapping is lowered once into per-operand
- * address stride tables and executed without per-element expression
- * evaluation, bit-identical to the scalar interpreters, which remain
- * as the transparent fallback for plans the engine cannot compile
- * (logged via the exec.fallback metric). ExecOptions selects the
- * engine and the thread count of the outer-tile sweep; results are
- * identical for every thread count.
+ * Both paths, and referenceExecute (tensor/reference.hh), climb one
+ * execution tier ladder: with ExecEngine::Jit the plan is lowered to
+ * native code by codegen/exec_c.hh and compiled through the JIT
+ * engine (jit/jit.hh); the stride-walk engine (mapping/exec_plan.hh,
+ * the default) runs the plan as precomputed per-operand address
+ * stride tables without per-element expression evaluation; the
+ * scalar interpreters are the baseline. Each tier falls back to the
+ * next when it declines (counted as exec.jit_fallback and
+ * exec.fallback), and every tier is bit-identical to the
+ * interpreters. ExecOptions selects the tier and the thread count of
+ * the outer-tile sweep; results are identical for every thread count.
+ * All executors return an ExecReport naming the tier that actually
+ * ran. They are defined in the amos_jit library, which sits above
+ * codegen and the JIT engine they dispatch to.
  *
- * With ExecEngine::Jit each path is additionally lowered to native
- * code by codegen/exec_c.hh and compiled through the JIT engine
- * (jit/jit.hh), falling back to the stride walk — and then the
- * interpreter — when the tier declines (logged via
- * exec.jit_fallback). All executors return an ExecReport naming the
- * tier that actually ran. They are defined in the amos_jit library,
- * which sits above codegen and the JIT engine they dispatch to.
+ * The one differential harness, engineVsInterpreterCompare, runs both
+ * paths on a requested tier and on the interpreter and compares the
+ * outputs under a tolerance spec; mappedVsReferenceError compares
+ * both paths against the reference interpreter.
  */
 
 #ifndef AMOS_MAPPING_EXECUTE_HH
@@ -50,18 +53,14 @@ namespace amos {
 /** Execute via index-remapping (compute-mapping check). */
 ExecReport executeMappedDirect(const MappingPlan &plan,
                                const std::vector<const Buffer *> &inputs,
-                               Buffer &output);
-ExecReport executeMappedDirect(const MappingPlan &plan,
-                               const std::vector<const Buffer *> &inputs,
-                               Buffer &output, const ExecOptions &opts);
+                               Buffer &output,
+                               const ExecOptions &opts = {});
 
 /** Execute via packed tiles (memory-mapping check). */
 ExecReport executeMappedPacked(const MappingPlan &plan,
                                const std::vector<const Buffer *> &inputs,
-                               Buffer &output);
-ExecReport executeMappedPacked(const MappingPlan &plan,
-                               const std::vector<const Buffer *> &inputs,
-                               Buffer &output, const ExecOptions &opts);
+                               Buffer &output,
+                               const ExecOptions &opts = {});
 
 /**
  * Convenience used by tests: run both mapped paths on pattern inputs
@@ -69,29 +68,6 @@ ExecReport executeMappedPacked(const MappingPlan &plan,
  */
 float mappedVsReferenceError(const MappingPlan &plan,
                              std::uint64_t seed = 7);
-
-/**
- * Differential check of the compiled engine itself: run both mapped
- * paths with the interpreter forced and with the stride-walk engine
- * at `numThreads`, on identical pattern inputs, and return the
- * largest deviation. Zero iff the engine is bit-identical.
- */
-float compiledVsInterpreterError(const MappingPlan &plan,
-                                 std::uint64_t seed = 7,
-                                 int numThreads = 1);
-
-/**
- * Differential check of an arbitrary tier: run both mapped paths
- * with the interpreter forced and with the requested engine, on
- * identical pattern inputs, and return the largest deviation. The
- * optional reports record which tier each path actually used (e.g.
- * to assert that the JIT tier really ran rather than fell back).
- */
-float engineVsInterpreterError(const MappingPlan &plan,
-                               ExecEngine engine,
-                               std::uint64_t seed = 7,
-                               ExecReport *directReport = nullptr,
-                               ExecReport *packedReport = nullptr);
 
 /**
  * Tolerance-aware differential harness: run both mapped paths with

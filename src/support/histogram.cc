@@ -33,62 +33,126 @@ bucketMid(std::size_t idx)
 
 } // namespace
 
-LatencyHistogram::LatencyHistogram() : _buckets(kBuckets, 0) {}
+namespace detail {
+
+HistogramBuckets::HistogramBuckets() : buckets(kBuckets, 0) {}
+
+void
+HistogramBuckets::add(double ms)
+{
+    ++buckets[bucketFor(ms)];
+    if (count == 0) {
+        min = max = ms;
+    } else {
+        min = std::min(min, ms);
+        max = std::max(max, ms);
+    }
+    ++count;
+    sum += ms;
+}
+
+void
+HistogramBuckets::merge(const HistogramBuckets &other)
+{
+    if (other.count == 0)
+        return;
+    for (std::size_t i = 0; i < kBuckets; ++i)
+        buckets[i] += other.buckets[i];
+    if (count == 0) {
+        min = other.min;
+        max = other.max;
+    } else {
+        min = std::min(min, other.min);
+        max = std::max(max, other.max);
+    }
+    count += other.count;
+    sum += other.sum;
+}
+
+void
+HistogramBuckets::clear()
+{
+    std::fill(buckets.begin(), buckets.end(), 0);
+    count = 0;
+    sum = 0.0;
+}
+
+double
+HistogramBuckets::mean() const
+{
+    return count == 0 ? 0.0 : sum / static_cast<double>(count);
+}
+
+double
+HistogramBuckets::quantile(double q) const
+{
+    if (count == 0)
+        return 0.0;
+    q = std::clamp(q, 0.0, 1.0);
+    // Rank of the q-th sample, 1-based, ceil for the usual "at least
+    // a fraction q of samples are <= the answer" reading.
+    auto rank = static_cast<std::uint64_t>(
+        std::ceil(q * static_cast<double>(count)));
+    rank = std::max<std::uint64_t>(rank, 1);
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+        seen += buckets[i];
+        if (seen >= rank)
+            return std::clamp(bucketMid(i), min, max);
+    }
+    return max;
+}
+
+double
+HistogramBuckets::fractionAbove(double ms) const
+{
+    if (count == 0)
+        return 0.0;
+    std::uint64_t above = 0;
+    for (std::size_t i = 0; i < buckets.size(); ++i)
+        if (bucketMid(i) > ms)
+            above += buckets[i];
+    return static_cast<double>(above) / static_cast<double>(count);
+}
+
+void
+HistogramBuckets::summarize(Json &out) const
+{
+    out.set("count", Json(static_cast<std::int64_t>(count)));
+    out.set("mean_ms", Json(mean()));
+    out.set("p50_ms", Json(quantile(0.50)));
+    out.set("p95_ms", Json(quantile(0.95)));
+    out.set("p99_ms", Json(quantile(0.99)));
+}
+
+} // namespace detail
 
 void
 LatencyHistogram::record(double ms)
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    ++_buckets[bucketFor(ms)];
-    if (_count == 0) {
-        _min = _max = ms;
-    } else {
-        _min = std::min(_min, ms);
-        _max = std::max(_max, ms);
-    }
-    ++_count;
-    _sum += ms;
+    _set.add(ms);
 }
 
 std::uint64_t
 LatencyHistogram::count() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    return _count;
+    return _set.count;
 }
 
 double
 LatencyHistogram::meanMs() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    return _count == 0 ? 0.0 : _sum / static_cast<double>(_count);
-}
-
-double
-LatencyHistogram::quantileLocked(double q) const
-{
-    if (_count == 0)
-        return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    // Rank of the q-th sample, 1-based, ceil for the usual "at least
-    // a fraction q of samples are <= the answer" reading.
-    auto rank = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(_count)));
-    rank = std::max<std::uint64_t>(rank, 1);
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < _buckets.size(); ++i) {
-        seen += _buckets[i];
-        if (seen >= rank)
-            return std::clamp(bucketMid(i), _min, _max);
-    }
-    return _max;
+    return _set.mean();
 }
 
 double
 LatencyHistogram::quantileMs(double q) const
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    return quantileLocked(q);
+    return _set.quantile(q);
 }
 
 Json
@@ -96,12 +160,7 @@ LatencyHistogram::summaryJson() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
     Json out = Json::object();
-    out.set("count", Json(static_cast<std::int64_t>(_count)));
-    out.set("mean_ms",
-            Json(_count ? _sum / static_cast<double>(_count) : 0.0));
-    out.set("p50_ms", Json(quantileLocked(0.50)));
-    out.set("p95_ms", Json(quantileLocked(0.95)));
-    out.set("p99_ms", Json(quantileLocked(0.99)));
+    _set.summarize(out);
     return out;
 }
 
@@ -112,10 +171,7 @@ SlidingWindowHistogram::SlidingWindowHistogram(double windowSeconds,
                     static_cast<double>(numEpochs ? numEpochs : 1)),
       _epochs(numEpochs ? numEpochs : 1),
       _origin(std::chrono::steady_clock::now())
-{
-    for (auto &epoch : _epochs)
-        epoch.buckets.assign(kBuckets, 0);
-}
+{}
 
 double
 SlidingWindowHistogram::nowSeconds() const
@@ -143,67 +199,25 @@ SlidingWindowHistogram::recordAt(double ms, double atSeconds)
     if (epoch.index != index) {
         // The slot last held an expired epoch — recycle it.
         epoch.index = index;
-        std::fill(epoch.buckets.begin(), epoch.buckets.end(), 0);
-        epoch.count = 0;
-        epoch.sum = 0.0;
+        epoch.set.clear();
     }
-    ++epoch.buckets[bucketFor(ms)];
-    if (epoch.count == 0) {
-        epoch.min = epoch.max = ms;
-    } else {
-        epoch.min = std::min(epoch.min, ms);
-        epoch.max = std::max(epoch.max, ms);
-    }
-    ++epoch.count;
-    epoch.sum += ms;
+    epoch.set.add(ms);
 }
 
-SlidingWindowHistogram::Merged
+detail::HistogramBuckets
 SlidingWindowHistogram::mergedLocked(double atSeconds) const
 {
-    Merged merged;
-    merged.buckets.assign(kBuckets, 0);
+    detail::HistogramBuckets merged;
     if (atSeconds < 0)
         atSeconds = 0;
     auto current =
         static_cast<std::int64_t>(atSeconds / _epochSeconds);
     auto oldest =
         current - static_cast<std::int64_t>(_epochs.size()) + 1;
-    for (const auto &epoch : _epochs) {
-        if (epoch.index < oldest || epoch.index > current ||
-            epoch.count == 0)
-            continue;
-        for (std::size_t i = 0; i < kBuckets; ++i)
-            merged.buckets[i] += epoch.buckets[i];
-        if (merged.count == 0) {
-            merged.min = epoch.min;
-            merged.max = epoch.max;
-        } else {
-            merged.min = std::min(merged.min, epoch.min);
-            merged.max = std::max(merged.max, epoch.max);
-        }
-        merged.count += epoch.count;
-        merged.sum += epoch.sum;
-    }
+    for (const auto &epoch : _epochs)
+        if (epoch.index >= oldest && epoch.index <= current)
+            merged.merge(epoch.set);
     return merged;
-}
-
-double
-SlidingWindowHistogram::quantileOf(const Merged &merged, double q)
-{
-    if (merged.count == 0)
-        return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    auto rank = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(merged.count)));
-    rank = std::max<std::uint64_t>(rank, 1);
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < merged.buckets.size(); ++i) {
-        seen += merged.buckets[i];
-        if (seen >= rank)
-            return std::clamp(bucketMid(i), merged.min, merged.max);
-    }
-    return merged.max;
 }
 
 std::uint64_t
@@ -229,10 +243,7 @@ double
 SlidingWindowHistogram::windowMeanMsAt(double atSeconds) const
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    Merged merged = mergedLocked(atSeconds);
-    return merged.count == 0
-               ? 0.0
-               : merged.sum / static_cast<double>(merged.count);
+    return mergedLocked(atSeconds).mean();
 }
 
 double
@@ -246,7 +257,7 @@ SlidingWindowHistogram::windowQuantileMsAt(double q,
                                            double atSeconds) const
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    return quantileOf(mergedLocked(atSeconds), q);
+    return mergedLocked(atSeconds).quantile(q);
 }
 
 double
@@ -260,15 +271,7 @@ SlidingWindowHistogram::breachFractionAt(double thresholdMs,
                                          double atSeconds) const
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    Merged merged = mergedLocked(atSeconds);
-    if (merged.count == 0)
-        return 0.0;
-    std::uint64_t breaching = 0;
-    for (std::size_t i = 0; i < merged.buckets.size(); ++i)
-        if (bucketMid(i) > thresholdMs)
-            breaching += merged.buckets[i];
-    return static_cast<double>(breaching) /
-           static_cast<double>(merged.count);
+    return mergedLocked(atSeconds).fractionAbove(thresholdMs);
 }
 
 double
@@ -298,17 +301,9 @@ Json
 SlidingWindowHistogram::summaryJsonAt(double atSeconds) const
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    Merged merged = mergedLocked(atSeconds);
     Json out = Json::object();
     out.set("window_s", Json(_windowSeconds));
-    out.set("count", Json(static_cast<std::int64_t>(merged.count)));
-    out.set("mean_ms",
-            Json(merged.count
-                     ? merged.sum / static_cast<double>(merged.count)
-                     : 0.0));
-    out.set("p50_ms", Json(quantileOf(merged, 0.50)));
-    out.set("p95_ms", Json(quantileOf(merged, 0.95)));
-    out.set("p99_ms", Json(quantileOf(merged, 0.99)));
+    mergedLocked(atSeconds).summarize(out);
     return out;
 }
 

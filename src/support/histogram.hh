@@ -30,12 +30,43 @@
 
 namespace amos {
 
+namespace detail {
+
+/**
+ * The core both histograms share: log-bucket counts plus the exact
+ * sample count, sum, min and max. Not thread-safe; each histogram
+ * guards its sets with its own mutex.
+ */
+struct HistogramBuckets
+{
+    std::vector<std::uint64_t> buckets;
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+
+    HistogramBuckets();
+
+    void add(double ms);
+    /** Fold another set in (the sliding window's in-window epochs). */
+    void merge(const HistogramBuckets &other);
+    void clear();
+
+    double mean() const;
+    /** Geometric midpoint of the q-th sample's bucket, clamped. */
+    double quantile(double q) const;
+    /** Fraction of samples whose bucket midpoint exceeds `ms`. */
+    double fractionAbove(double ms) const;
+    /** Set "count", "mean_ms", "p50_ms", "p95_ms", "p99_ms". */
+    void summarize(Json &out) const;
+};
+
+} // namespace detail
+
 /** Thread-safe histogram of latencies in milliseconds. */
 class LatencyHistogram
 {
   public:
-    LatencyHistogram();
-
     /** Record one sample (values <= 0 land in the first bucket). */
     void record(double ms);
 
@@ -55,14 +86,8 @@ class LatencyHistogram
     Json summaryJson() const;
 
   private:
-    double quantileLocked(double q) const;
-
     mutable std::mutex _mutex;
-    std::vector<std::uint64_t> _buckets;
-    std::uint64_t _count = 0;
-    double _sum = 0.0;
-    double _min = 0.0;
-    double _max = 0.0;
+    detail::HistogramBuckets _set;
 };
 
 /**
@@ -134,26 +159,12 @@ class SlidingWindowHistogram
     struct Epoch
     {
         std::int64_t index = -1; // floor(t / epochSeconds), -1 empty
-        std::vector<std::uint64_t> buckets;
-        std::uint64_t count = 0;
-        double sum = 0.0;
-        double min = 0.0;
-        double max = 0.0;
-    };
-
-    /** Merged view of the in-window epochs. */
-    struct Merged
-    {
-        std::vector<std::uint64_t> buckets;
-        std::uint64_t count = 0;
-        double sum = 0.0;
-        double min = 0.0;
-        double max = 0.0;
+        detail::HistogramBuckets set;
     };
 
     double nowSeconds() const;
-    Merged mergedLocked(double atSeconds) const;
-    static double quantileOf(const Merged &merged, double q);
+    /** Merged view of the in-window epochs. */
+    detail::HistogramBuckets mergedLocked(double atSeconds) const;
 
     const double _windowSeconds;
     const double _epochSeconds;

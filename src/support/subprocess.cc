@@ -1,5 +1,8 @@
 #include "subprocess.hh"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -8,6 +11,35 @@
 #include "support/logging.hh"
 
 namespace amos {
+
+std::string
+uniqueTempSuffix()
+{
+    static std::atomic<std::uint64_t> counter{0};
+    return std::to_string(static_cast<long>(::getpid())) + "." +
+           std::to_string(counter.fetch_add(1));
+}
+
+void
+writeFileAtomic(const std::string &path, const std::string &text)
+{
+    const std::string tmp = path + "." + uniqueTempSuffix() + ".tmp";
+    bool written;
+    {
+        std::ofstream out(tmp, std::ios::trunc);
+        out << text;
+        out.flush();
+        written = out.good();
+    }
+    if (!written) {
+        std::remove(tmp.c_str());
+        fatal("cannot write ", tmp);
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        fatal("cannot rename ", tmp, " to ", path);
+    }
+}
 
 CommandResult
 runShellCommand(const std::string &commandLine)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Minimal subprocess helpers for the JIT tier: run a shell command,
- * probe whether a program can be invoked, and drive the system C
- * compiler to produce a shared object. Kept deliberately small — the
- * only consumer is the kernel JIT, which needs "compile this file or
- * tell me why not", not a general process API.
+ * Minimal process and file helpers: run a shell command, probe
+ * whether a program can be invoked, drive the system C compiler to
+ * produce a shared object (the kernel JIT needs "compile this file or
+ * tell me why not", not a general process API), and replace a file
+ * atomically even when several processes write the same path.
  */
 
 #ifndef AMOS_SUPPORT_SUBPROCESS_HH
@@ -24,6 +24,24 @@ struct CommandResult
 
     bool ok() const { return ran && exitCode == 0; }
 };
+
+/**
+ * A suffix unique to this process and call (pid + counter), for temp
+ * files that concurrent writers — threads or processes — create next
+ * to a shared destination before renaming them into place.
+ */
+std::string uniqueTempSuffix();
+
+/**
+ * Replace `path` with `text` atomically: write a sibling temp file
+ * with a unique suffix, then rename() it into place. A crash
+ * mid-write leaves the previous file intact, readers see the old or
+ * the new document but never a torn one, and concurrent writers of
+ * one path each rename their own temp file (the last rename wins).
+ * Throws FatalError, after removing the temp file, when the write or
+ * the rename fails.
+ */
+void writeFileAtomic(const std::string &path, const std::string &text);
 
 /** Run a command line through the shell; never throws. */
 CommandResult runShellCommand(const std::string &commandLine);

@@ -13,19 +13,16 @@ const char *
 execEngineName(ExecEngine engine)
 {
     switch (engine) {
-      case ExecEngine::Auto: return "auto";
       case ExecEngine::Interpreter: return "interpreter";
       case ExecEngine::Walk: return "walk";
       case ExecEngine::Jit: return "jit";
     }
-    return "auto";
+    return "walk";
 }
 
 std::optional<ExecEngine>
 parseExecEngine(const std::string &name)
 {
-    if (name == "auto")
-        return ExecEngine::Auto;
     if (name == "interpreter")
         return ExecEngine::Interpreter;
     if (name == "walk")
@@ -88,13 +85,13 @@ compileReferenceWalk(const TensorComputation &comp,
     for (const auto &iv : iters)
         plan.extents.push_back(iv.extent);
 
+    std::vector<const TensorDecl *> decls;
     auto compileOperand = [&](const TensorDecl &decl,
-                              const std::vector<Expr> &indices,
-                              const std::string &name) {
+                              const std::vector<Expr> &indices) {
         auto analysis = analyzeFlatAccess(indices, decl.strides());
         if (!analysis.ok()) {
             if (reason)
-                *reason = name + ": " + analysis.reason;
+                *reason = decl.name() + ": " + analysis.reason;
             return false;
         }
         WalkOperand op;
@@ -103,17 +100,72 @@ compileReferenceWalk(const TensorComputation &comp,
             op.stride.push_back(
                 analysis.form->coeffOf(iv.var.node()));
         plan.operands.push_back(std::move(op));
+        decls.push_back(&decl);
         return true;
     };
 
     for (const auto &in : comp.inputs())
-        if (!compileOperand(in.decl, in.indices, in.decl.name()))
+        if (!compileOperand(in.decl, in.indices))
             return std::nullopt;
-    if (!compileOperand(comp.output(), comp.outputIndices(),
-                        comp.output().name()))
+    if (!compileOperand(comp.output(), comp.outputIndices()))
         return std::nullopt;
     plan.finalize();
+
+    std::string why;
+    for (std::size_t m = 0; m < decls.size(); ++m) {
+        const auto &op = plan.operands[m];
+        if (!addressBoxFits(op.minAddr, op.maxAddr,
+                            decls[m]->numElements(), decls[m]->name(),
+                            "declared size", &why)) {
+            if (reason)
+                *reason = why;
+            return std::nullopt;
+        }
+    }
     return plan;
+}
+
+bool
+addressBoxFits(std::int64_t minAddr, std::int64_t maxAddr,
+               std::int64_t size, const std::string &what,
+               const char *sizeName, std::string *reason)
+{
+    if (minAddr >= 0 && maxAddr < size)
+        return true;
+    *reason = what + ": address box [" + std::to_string(minAddr) +
+              ", " + std::to_string(maxAddr) + "] exceeds " +
+              sizeName + " " + std::to_string(size);
+    return false;
+}
+
+bool
+buffersMatchDecls(const std::vector<TensorDecl> &decls,
+                  const std::vector<const Buffer *> &inputs,
+                  const Buffer &output, std::string *why)
+{
+    auto mismatch = [&](const std::string &msg) {
+        if (why)
+            *why = msg;
+        return false;
+    };
+    if (inputs.size() + 1 != decls.size())
+        return mismatch("input count mismatch");
+    for (std::size_t m = 0; m < decls.size(); ++m) {
+        const bool isInput = m < inputs.size();
+        const Buffer &buf = isInput ? *inputs[m] : output;
+        auto name = [&] {
+            return isInput ? "input " + std::to_string(m)
+                           : std::string("output");
+        };
+        if (buf.decl().shape() != decls[m].shape())
+            return mismatch(name() +
+                            " shape differs from the declared shape");
+        if (buf.storage() != dtypeStorageLane(decls[m].dtype()))
+            return mismatch(
+                name() +
+                " storage lane differs from the declared dtype");
+    }
+    return true;
 }
 
 int

@@ -44,26 +44,24 @@
 namespace amos {
 
 /**
- * Execution tiers of the functional simulators, fastest first when
- * available. Every tier produces bit-identical results; lower tiers
- * are transparent fallbacks for what an upper tier cannot run.
+ * Execution tiers of the functional simulators, fastest first. Every
+ * tier produces bit-identical results; each lower tier is the
+ * transparent fallback for what the tier above it cannot run.
  */
 enum class ExecEngine
 {
-    /// Stride-walk engine with interpreter fallback (the default).
-    Auto,
     /// Scalar interpreter only (baseline / differential testing).
     Interpreter,
-    /// Stride-walk engine, interpreter fallback on non-affine plans.
+    /// Stride-walk engine, interpreter fallback (the default).
     Walk,
     /// Native-codegen JIT tier: lower the plan to C, compile with the
     /// system compiler, dlopen, run. Falls back to the stride walk
     /// (then the interpreter) when no compiler or kernel is
-    /// available; requires the amos_jit library to be linked.
+    /// available.
     Jit,
 };
 
-/** Stable lowercase name ("auto", "interpreter", "walk", "jit"). */
+/** Stable lowercase name ("interpreter", "walk", "jit"). */
 const char *execEngineName(ExecEngine engine);
 
 /** Parse an engine name; nullopt on unknown names. */
@@ -76,18 +74,8 @@ struct ExecOptions
     /// hardware thread. Results are bit-identical for every value.
     /// The JIT tier always runs its kernel serially.
     int numThreads = 1;
-    /// Skip the compiled engine (baseline / differential testing).
-    /// Kept for source compatibility; equivalent to
-    /// engine = ExecEngine::Interpreter.
-    bool forceInterpreter = false;
     /// Requested execution tier; lower tiers are fallbacks.
-    ExecEngine engine = ExecEngine::Auto;
-
-    /** The tier actually requested once legacy flags are folded in. */
-    ExecEngine resolvedEngine() const
-    {
-        return forceInterpreter ? ExecEngine::Interpreter : engine;
-    }
+    ExecEngine engine = ExecEngine::Walk;
 };
 
 /**
@@ -140,11 +128,33 @@ struct AccessWalkPlan
  * Compile the reference interpreter's loop nest (one level per
  * software iterator, operands = inputs then output) into a stride
  * walk. Returns nullopt — and the reason, if requested — when any
- * access is non-affine.
+ * access is non-affine or any operand's address box leaves its
+ * declared tensor, so the walk itself needs no bounds checks.
  */
 std::optional<AccessWalkPlan>
 compileReferenceWalk(const TensorComputation &comp,
                      std::string *reason = nullptr);
+
+/**
+ * True iff the address box [minAddr, maxAddr] an operand covers over
+ * the whole loop nest lies inside [0, size). Otherwise sets
+ * `*reason` to "<what>: address box [lo, hi] exceeds <sizeName> N".
+ * The compiled engines prove this once per plan instead of checking
+ * every access.
+ */
+bool addressBoxFits(std::int64_t minAddr, std::int64_t maxAddr,
+                    std::int64_t size, const std::string &what,
+                    const char *sizeName, std::string *reason);
+
+/**
+ * True iff the runtime buffers have exactly the shapes and storage
+ * lanes of `decls` (inputs in order, then the output) — the layout a
+ * compiled stride table and its address boxes were proven against.
+ * Otherwise sets `*why` when given.
+ */
+bool buffersMatchDecls(const std::vector<TensorDecl> &decls,
+                       const std::vector<const Buffer *> &inputs,
+                       const Buffer &output, std::string *why = nullptr);
 
 /**
  * The first level (below levelLimit) whose per-step address jump on

@@ -21,12 +21,14 @@ namespace amos {
  * Execute the computation over the given input buffers, accumulating
  * into (pre-zeroed or pre-initialised) output.
  *
- * By default this lowers every access to precomputed affine stride
- * form and runs the stride-walk engine (see tensor/access_walk.hh) —
- * bit-identical to the scalar interpreter, which remains as the
- * transparent fallback for non-affine accesses or mismatched buffer
- * shapes (logged via the exec.fallback metric). With
- * ExecEngine::Jit the nest is lowered to native code by
+ * Climbs the same tier ladder as the mapped executors
+ * (mapping/execute.hh). By default every access is lowered to
+ * precomputed affine stride form and run on the stride-walk engine
+ * (see tensor/access_walk.hh) — bit-identical to the scalar
+ * interpreter, which remains as the transparent fallback for
+ * non-affine accesses, address boxes outside the declared tensors or
+ * mismatched buffer shapes (logged via the exec.fallback metric).
+ * With ExecEngine::Jit the nest is lowered to native code by
  * codegen/exec_c.hh and compiled through jit/jit.hh, falling back to
  * the stride walk — and then the interpreter — when the tier
  * declines (logged via exec.jit_fallback).
@@ -39,19 +41,8 @@ namespace amos {
  */
 ExecReport referenceExecute(const TensorComputation &comp,
                             const std::vector<const Buffer *> &inputs,
-                            Buffer &output, const ExecOptions &opts);
-
-ExecReport referenceExecute(const TensorComputation &comp,
-                            const std::vector<const Buffer *> &inputs,
-                            Buffer &output);
-
-/**
- * Allocate pattern-filled inputs and a zeroed output for a
- * computation, run the reference interpreter, and return the output.
- * Convenience for tests.
- */
-Buffer referenceRun(const TensorComputation &comp,
-                    std::uint64_t seed = 7);
+                            Buffer &output,
+                            const ExecOptions &opts = {});
 
 /** Allocate and pattern-fill input buffers for a computation. */
 std::vector<Buffer> makePatternInputs(const TensorComputation &comp,

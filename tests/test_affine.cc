@@ -193,7 +193,7 @@ TEST(Walk, ReferenceCompiledMatchesInterpreterExactly)
             ptrs.push_back(&b);
 
         ExecOptions interp;
-        interp.forceInterpreter = true;
+        interp.engine = ExecEngine::Interpreter;
         Buffer a(comp.output()), b(comp.output());
         referenceExecute(comp, ptrs, a, interp);
         referenceExecute(comp, ptrs, b, ExecOptions{});
@@ -234,7 +234,7 @@ TEST(Walk, NonAffineAccessFallsBackAndStaysExact)
     std::uint64_t before = fallback.value();
 
     ExecOptions interp;
-    interp.forceInterpreter = true;
+    interp.engine = ExecEngine::Interpreter;
     Buffer a(mutated.output()), b(mutated.output());
     referenceExecute(mutated, ptrs, a, interp);
     referenceExecute(mutated, ptrs, b, ExecOptions{});
@@ -251,10 +251,13 @@ TEST(ExecPlan, CompilesGemmAndRunsBitIdentical)
     ExecPlan ep(plans[0]);
     ASSERT_TRUE(ep.compiled()) << ep.fallbackReason();
     EXPECT_EQ(ep.directOperands().size(), 3u);
-    for (int threads : {1, 2, 4})
-        EXPECT_EQ(compiledVsInterpreterError(plans[0], 7, threads),
-                  0.0f)
-            << threads << " threads";
+    for (int threads : {1, 2, 4}) {
+        auto res = engineVsInterpreterCompare(
+            plans[0], ExecEngine::Walk, quant::ToleranceSpec::exactly(),
+            7, threads);
+        EXPECT_TRUE(res.pass) << threads << " threads: "
+                              << res.summary();
+    }
 }
 
 TEST(ExecPlan, MutatedAccessFallsBackWithReason)
@@ -278,7 +281,9 @@ TEST(ExecPlan, MutatedAccessFallsBackWithReason)
     auto &fallback =
         MetricsRegistry::global().counter("exec.fallback");
     std::uint64_t before = fallback.value();
-    EXPECT_EQ(compiledVsInterpreterError(plan), 0.0f);
+    auto res = engineVsInterpreterCompare(
+        plan, ExecEngine::Walk, quant::ToleranceSpec::exactly());
+    EXPECT_TRUE(res.pass) << res.summary();
     EXPECT_EQ(fallback.value(), before + 2); // direct + packed
 }
 

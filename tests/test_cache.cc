@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -153,6 +158,65 @@ TEST(TuningCacheTest, SaveIsAtomicAndLeavesNoTempFile)
     std::remove(path.c_str());
     EXPECT_EQ(loaded.size(), 1u);
     EXPECT_TRUE(loaded.contains("k"));
+}
+
+TEST(TuningCacheTest, ConcurrentProcessesSavingOnePathNeverFail)
+{
+    // Servers sharing one --cache-dir save the same shard file from
+    // different processes. Every save must succeed and every read
+    // must parse a whole document; a temp name shared between the
+    // writers made one writer's rename fail, or published a file
+    // another writer was still filling.
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("amos_cache_writers_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string path = (dir / "shard.json").string();
+
+    constexpr int kWriters = 4;
+    constexpr int kSaves = 300;
+    std::vector<pid_t> writers;
+    for (int w = 0; w < kWriters; ++w) {
+        pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            int failures = 0;
+            TuningCache cache;
+            CacheEntry entry;
+            entry.intrinsicName = "wmma_16x16x16";
+            entry.mapping.groups = {{0}, {1}, {4}};
+            for (int i = 0; i < kSaves; ++i) {
+                entry.cycles = i;
+                cache.insert("w" + std::to_string(w) + "." +
+                                 std::to_string(i % 8),
+                             entry);
+                try {
+                    cache.saveFile(path);
+                    if (TuningCache::loadFile(path).size() == 0)
+                        ++failures;
+                } catch (const std::exception &) {
+                    ++failures;
+                }
+            }
+            ::_exit(std::min(failures, 255));
+        }
+        writers.push_back(pid);
+    }
+    for (pid_t pid : writers) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        ASSERT_TRUE(WIFEXITED(status));
+        EXPECT_EQ(WEXITSTATUS(status), 0)
+            << "failed saves or unparseable reads in writer " << pid;
+    }
+    std::vector<std::string> left;
+    for (const auto &e : fs::directory_iterator(dir))
+        left.push_back(e.path().filename().string());
+    EXPECT_EQ(left, std::vector<std::string>{"shard.json"});
+    EXPECT_EQ(TuningCache::loadFile(path).size(), 8u);
+    fs::remove_all(dir);
 }
 
 TEST(TuningCacheTest, LoadToleratesTruncatedFile)

@@ -11,8 +11,10 @@
 #include "explore/tuner.hh"
 #include "hw/hardware.hh"
 #include "isa/intrinsics.hh"
+#include "mapping/exec_plan.hh"
 #include "mapping/execute.hh"
 #include "mapping/generate.hh"
+#include "ops/config_suite.hh"
 #include "ops/operators.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -209,8 +211,13 @@ TEST_P(CompiledEngineDifferential, StrideWalkIsBitIdentical)
     ASSERT_GT(plans.size(), 0u);
     for (const auto &plan : plans) {
         SCOPED_TRACE(plan.mapping().signature(comp));
-        EXPECT_EQ(compiledVsInterpreterError(plan, 7, 1), 0.0f);
-        EXPECT_EQ(compiledVsInterpreterError(plan, 7, 4), 0.0f);
+        for (int threads : {1, 4}) {
+            auto res = engineVsInterpreterCompare(
+                plan, ExecEngine::Walk, quant::ToleranceSpec::exactly(),
+                7, threads);
+            EXPECT_TRUE(res.pass) << threads << " threads: "
+                                  << res.summary();
+        }
     }
 }
 
@@ -272,7 +279,9 @@ TEST(Execute, FuzzedNonAffineAccessForcesFallback)
     // floorDiv(2k, 2) evaluates like k, so the interpreter result must
     // equal the unmutated plan's — while the engine must refuse the
     // non-affine form rather than silently miscompiling it.
-    EXPECT_EQ(compiledVsInterpreterError(plan, 7, 1), 0.0f);
+    auto res = engineVsInterpreterCompare(
+        plan, ExecEngine::Walk, quant::ToleranceSpec::exactly());
+    EXPECT_TRUE(res.pass) << res.summary();
     EXPECT_EQ(fallback.value(), before + 2); // direct + packed
 
     Buffer viaMutated(mutated.output());
@@ -477,6 +486,84 @@ TEST(QuantExecute, DtypeIllegalPlanIsInvalid)
     std::vector<const Buffer *> ptrs = {&inputs[0], &inputs[1]};
     Buffer out(conv.output());
     EXPECT_THROW(executeMappedDirect(plan, ptrs, out), PanicError);
+}
+
+TEST(Execute, AccessPastDeclaredExtentIsDeclinedThenPanics)
+{
+    // An access one past its declared extent: both compiled engines
+    // must decline it at compile time by proving its address box,
+    // and the interpreter every tier then falls back to must raise
+    // instead of touching memory outside the tensor.
+    auto gemm = ops::makeGemm(4, 4, 4);
+    auto plans = enumeratePlans(gemm, isa::wmmaTiny(), {});
+    ASSERT_EQ(plans.size(), 1u);
+    auto mutated = gemm.withMutatedInputIndex(
+        0, 1, gemm.iters()[2].var + 1);
+
+    std::string reason;
+    EXPECT_FALSE(compileReferenceWalk(mutated, &reason).has_value());
+    EXPECT_NE(reason.find("address box"), std::string::npos) << reason;
+
+    MappingPlan plan(mutated, isa::wmmaTiny(), plans[0].mapping());
+    ASSERT_TRUE(plan.valid());
+    ExecPlan ep(plan);
+    EXPECT_FALSE(ep.compiled());
+    EXPECT_NE(ep.fallbackReason().find("address box"),
+              std::string::npos)
+        << ep.fallbackReason();
+
+    auto inputs = makePatternInputs(mutated, 7);
+    std::vector<const Buffer *> ptrs;
+    for (const auto &b : inputs)
+        ptrs.push_back(&b);
+    for (ExecEngine engine : {ExecEngine::Interpreter, ExecEngine::Walk,
+                              ExecEngine::Jit}) {
+        SCOPED_TRACE(execEngineName(engine));
+        ExecOptions opts;
+        opts.engine = engine;
+        Buffer out(mutated.output());
+        EXPECT_THROW(referenceExecute(mutated, ptrs, out, opts),
+                     PanicError);
+        EXPECT_THROW(executeMappedDirect(plan, ptrs, out, opts),
+                     PanicError);
+        EXPECT_THROW(executeMappedPacked(plan, ptrs, out, opts),
+                     PanicError);
+    }
+}
+
+TEST(Bounds, EveryC2DMappingProvablyInBounds)
+{
+    // ExecPlan's compile step proves every direct operand's and every
+    // packed stream's address box over the whole iteration box, so a
+    // plan that compiles cannot address outside its buffers.
+    auto conv = ops::makeConv2d(tinyConvParams());
+    for (const auto &plan :
+         enumeratePlans(conv, isa::wmmaTiny(),
+                        {LegalityPolicy::Permissive, 0})) {
+        ExecPlan ep(plan);
+        EXPECT_TRUE(ep.compiled()) << plan.mapping().signature(conv)
+                                   << ": " << ep.fallbackReason();
+    }
+}
+
+TEST(Bounds, FullConfigSuiteProvablyInBounds)
+{
+    // The proof covers the whole iteration domain without executing
+    // anything, so the real-size 113-configuration suite is cheap.
+    // One mapping per configuration.
+    auto intr = isa::wmma(16, 16, 16);
+    for (const auto &entry : ops::configSuite()) {
+        auto comp = entry.build(1);
+        GeneratorOptions one;
+        one.maxCandidates = 1;
+        auto mappings = enumerateMappings(comp, intr, one);
+        ASSERT_FALSE(mappings.empty()) << entry.label;
+        MappingPlan plan(comp, intr, mappings.front());
+        ASSERT_TRUE(plan.valid()) << entry.label;
+        ExecPlan ep(plan);
+        EXPECT_TRUE(ep.compiled())
+            << entry.label << ": " << ep.fallbackReason();
+    }
 }
 
 } // namespace

@@ -19,6 +19,8 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <thread>
 
 #include "codegen/exec_c.hh"
@@ -124,9 +126,10 @@ TEST_P(JitOperatorDifferential, MappedPathsBitIdentical)
     SCOPED_TRACE(plans[0].mapping().signature(comp));
 
     ExecReport direct, packed;
-    EXPECT_EQ(engineVsInterpreterError(plans[0], ExecEngine::Jit, 7,
-                                       &direct, &packed),
-              0.0f);
+    auto res = engineVsInterpreterCompare(
+        plans[0], ExecEngine::Jit, quant::ToleranceSpec::exactly(), 7,
+        1, &direct, &packed);
+    EXPECT_TRUE(res.pass) << res.summary();
     if (jitCompilerUsable()) {
         EXPECT_EQ(direct.engine, "jit") << direct.jitFallback;
         EXPECT_EQ(packed.engine, "jit") << packed.jitFallback;
@@ -494,24 +497,103 @@ TEST(JitTier, FuzzedNonAffineAccessFallsThrough)
         MetricsRegistry::global().counter("exec.jit_fallback");
     const std::uint64_t before = jitFallbacks.value();
     ExecReport direct, packed;
-    EXPECT_EQ(engineVsInterpreterError(plan, ExecEngine::Jit, 7,
-                                       &direct, &packed),
-              0.0f);
+    auto res = engineVsInterpreterCompare(
+        plan, ExecEngine::Jit, quant::ToleranceSpec::exactly(), 7, 1,
+        &direct, &packed);
+    EXPECT_TRUE(res.pass) << res.summary();
     EXPECT_EQ(jitFallbacks.value(), before + 2);
     EXPECT_EQ(direct.engine, "interpreter");
     EXPECT_EQ(packed.engine, "interpreter");
     EXPECT_NE(direct.jitFallback, "");
 }
 
+TEST(JitTier, NonAffineAccessClimbsOneLadderOnEveryEntryPoint)
+{
+    // The reference and both mapped entry points share one tier
+    // ladder: on a non-affine access each declines the JIT and the
+    // walk for the same reason, reports the same tier, and bumps
+    // the same counters exactly once.
+    auto gemm = ops::makeGemm(4, 4, 4);
+    auto plans = enumeratePlans(gemm, isa::wmmaTiny(), {});
+    ASSERT_EQ(plans.size(), 1u);
+    auto mutated = gemm.withMutatedInputIndex(
+        1, 0, floorDiv(gemm.iters()[2].var * 2, 2));
+    MappingPlan plan(mutated, isa::wmmaTiny(), plans[0].mapping());
+    ASSERT_TRUE(plan.valid());
+
+    auto inputs = makePatternInputs(mutated, 7);
+    std::vector<const Buffer *> ptrs;
+    for (const auto &b : inputs)
+        ptrs.push_back(&b);
+    auto &metrics = MetricsRegistry::global();
+    const char *names[] = {"exec.jit_runs", "exec.jit_fallback",
+                           "exec.fallback", "exec.interpreter_runs",
+                           "exec.compiled_runs"};
+    using EntryPoint = std::function<ExecReport(Buffer &,
+                                                const ExecOptions &)>;
+    const std::vector<std::pair<std::string, EntryPoint>> entries = {
+        {"reference",
+         [&](Buffer &out, const ExecOptions &o) {
+             return referenceExecute(mutated, ptrs, out, o);
+         }},
+        {"direct",
+         [&](Buffer &out, const ExecOptions &o) {
+             return executeMappedDirect(plan, ptrs, out, o);
+         }},
+        {"packed",
+         [&](Buffer &out, const ExecOptions &o) {
+             return executeMappedPacked(plan, ptrs, out, o);
+         }},
+    };
+    for (ExecEngine engine : {ExecEngine::Walk, ExecEngine::Jit}) {
+        ExecOptions opts;
+        opts.engine = engine;
+        std::vector<ExecReport> reports;
+        std::vector<std::vector<std::uint64_t>> deltas;
+        Buffer first(mutated.output());
+        for (const auto &[label, run] : entries) {
+            SCOPED_TRACE(label + " engine=" + execEngineName(engine));
+            std::vector<std::uint64_t> before;
+            for (const char *n : names)
+                before.push_back(metrics.counter(n).value());
+            Buffer out(mutated.output());
+            reports.push_back(run(out, opts));
+            std::vector<std::uint64_t> delta;
+            for (std::size_t i = 0; i < std::size(names); ++i)
+                delta.push_back(metrics.counter(names[i]).value() -
+                                before[i]);
+            deltas.push_back(delta);
+            if (label == "reference")
+                first = out;
+            else
+                EXPECT_TRUE(out.bitEqual(first));
+        }
+        const bool jit = engine == ExecEngine::Jit;
+        const std::vector<std::uint64_t> want = {0, jit ? 1u : 0u, 1,
+                                                 1, 0};
+        for (std::size_t e = 0; e < entries.size(); ++e) {
+            SCOPED_TRACE(entries[e].first + " engine=" +
+                         execEngineName(engine));
+            EXPECT_EQ(reports[e].engine, "interpreter");
+            EXPECT_EQ(reports[e].jitFallback, reports[0].jitFallback);
+            EXPECT_EQ(reports[e].threadsUsed, reports[0].threadsUsed);
+            EXPECT_EQ(deltas[e], want);
+        }
+        EXPECT_EQ(reports[0].jitFallback.empty(), !jit)
+            << reports[0].jitFallback;
+    }
+}
+
 TEST(JitTier, EngineNamesRoundTrip)
 {
-    for (ExecEngine e :
-         {ExecEngine::Auto, ExecEngine::Interpreter, ExecEngine::Walk,
-          ExecEngine::Jit}) {
+    for (ExecEngine e : {ExecEngine::Interpreter, ExecEngine::Walk,
+                         ExecEngine::Jit}) {
         auto parsed = parseExecEngine(execEngineName(e));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, e);
     }
+    EXPECT_EQ(ExecOptions{}.engine, ExecEngine::Walk);
+    EXPECT_FALSE(parseExecEngine("auto").has_value());
     EXPECT_FALSE(parseExecEngine("turbo").has_value());
 }
 

@@ -2,15 +2,14 @@
  * @file
  * Coverage for the human-facing reporting surfaces: toString
  * renderings across modules (computations, hardware, profiles,
- * simulation results, schedules, intervals) and their content
- * guarantees. These strings are how users debug mappings, so their
- * shape is part of the public contract.
+ * simulation results, schedules) and their content guarantees.
+ * These strings are how users debug mappings, so their shape is
+ * part of the public contract.
  */
 
 #include <gtest/gtest.h>
 
 #include "hw/hardware.hh"
-#include "ir/interval.hh"
 #include "isa/intrinsics.hh"
 #include "mapping/generate.hh"
 #include "ops/operators.hh"
@@ -71,15 +70,6 @@ TEST(Reporting, SimResultStringCarriesWavesAndPeak)
     EXPECT_NE(s.find("waves="), std::string::npos);
     EXPECT_NE(s.find("peak="), std::string::npos);
     EXPECT_NE(s.find("%"), std::string::npos);
-}
-
-TEST(Reporting, IntervalToString)
-{
-    Interval iv{-3, 7};
-    EXPECT_EQ(iv.toString(), "[-3, 7]");
-    EXPECT_EQ(iv.width(), 11);
-    EXPECT_TRUE(iv.contains({0, 7}));
-    EXPECT_FALSE(iv.contains({0, 8}));
 }
 
 TEST(Reporting, MemoryAbstractionRendersAllScopes)
