@@ -19,7 +19,6 @@
  *   --workers N          compilation workers (default 2, 0 = #cpus)
  *   --queue N            admission bound on in-flight explorations
  *   --cache-dir PATH     enable the on-disk cache tier
- *   --shards N           disk-tier shard files (default 8)
  *   --mem-capacity N     memory-tier LRU entries (default 256)
  *   --stats-period-ms N  periodic stats log line to stderr
  *   --no-warm            skip preloading the disk tier on start
@@ -44,18 +43,25 @@
  *                        model modes; a bad file degrades to
  *                        analytic screening with a warning (the
  *                        "reload_model" verb hot-swaps it later)
+ *
+ * An unknown flag, a flag missing its value, or a malformed number
+ * exits 2 with a message naming the flag.
  */
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
 
 #include "serve/server.hh"
@@ -129,61 +135,101 @@ installCrashHandlers(const std::string &path)
     sigaction(SIGABRT, &sa, nullptr);
 }
 
+/** A bad command line: main() reports it and exits 2. */
+struct UsageError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/// Every flag; all but --no-warm take a value.
+const std::set<std::string> kFlags = {
+    "workers",     "queue",        "cache-dir",   "mem-capacity",
+    "no-warm",     "replay",       "trace-out",   "stats-period-ms",
+    "slow-ms",     "slowlog-size", "flight-dump", "warm-start",
+    "model-snapshot"};
+
+std::map<std::string, std::string>
+parseFlags(int argc, char **argv)
+{
+    std::map<std::string, std::string> args;
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i];
+        if (arg.rfind("--", 0) != 0)
+            throw UsageError("unexpected argument '" + arg + "'");
+        std::string flag = arg.substr(2);
+        if (!kFlags.count(flag))
+            throw UsageError("unknown flag " + arg);
+        if (flag == "no-warm")
+            args[flag] = "1";
+        else if (i + 1 < argc)
+            args[flag] = argv[++i];
+        else
+            throw UsageError(arg + " needs a value");
+    }
+    return args;
+}
+
+/**
+ * A flag's numeric value. A count takes up to 9 digits and nothing
+ * else, so "-1" cannot wrap around to a huge size_t.
+ */
+double
+numberFlag(const std::string &flag, const std::string &text, bool count)
+{
+    char *end = nullptr;
+    double value = std::strtod(text.c_str(), &end);
+    auto digit = [](char c) { return c >= '0' && c <= '9'; };
+    bool ok = count ? !text.empty() && text.size() < 10 &&
+                          std::all_of(text.begin(), text.end(), digit)
+                    : !text.empty() && *end == '\0' && std::isfinite(value);
+    if (!ok)
+        throw UsageError("--" + flag + " expects a " +
+                         (count ? "non-negative integer" : "number") +
+                         ", got '" + text + "'");
+    return value;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     std::map<std::string, std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--", 2) != 0) {
-            std::fprintf(stderr, "unexpected argument '%s'\n", arg);
-            return 2;
+    serve::ServeOptions options;
+    try {
+        args = parseFlags(argc, argv);
+        auto num = [&](const std::string &key, double fallback,
+                       bool count = true) {
+            auto it = args.find(key);
+            return it == args.end() ? fallback
+                                    : numberFlag(key, it->second, count);
+        };
+        options.workers = static_cast<std::size_t>(num("workers", 2));
+        options.maxQueue = static_cast<std::size_t>(num("queue", 64));
+        options.cache.memoryCapacity =
+            static_cast<std::size_t>(num("mem-capacity", 256));
+        options.statsLogPeriodMs = num("stats-period-ms", 0, false);
+        options.slowMs = num("slow-ms", options.slowMs, false);
+        options.slowlogSize =
+            static_cast<std::size_t>(num("slowlog-size", 32));
+        if (args.count("warm-start")) {
+            auto mode = warmStartModeFromName(args["warm-start"]);
+            if (!mode)
+                throw UsageError("unknown --warm-start mode '" +
+                                 args["warm-start"] +
+                                 "' (off|neighbors|model|both)");
+            options.warmStart = *mode;
         }
-        std::string key = arg + 2;
-        if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-            args[key] = argv[++i];
-        else
-            args[key] = "1";
+    } catch (const UsageError &e) {
+        std::fprintf(stderr, "amos_served: %s\n", e.what());
+        return 2;
     }
-    auto num = [&](const std::string &key, long fallback) {
-        auto it = args.find(key);
-        return it == args.end() ? fallback : std::stol(it->second);
-    };
     auto str = [&](const std::string &key) {
         auto it = args.find(key);
         return it == args.end() ? std::string() : it->second;
     };
-
-    serve::ServeOptions options;
-    options.workers =
-        static_cast<std::size_t>(num("workers", 2));
-    options.maxQueue = static_cast<std::size_t>(num("queue", 64));
     options.cache.diskDir = str("cache-dir");
-    options.cache.diskShards =
-        static_cast<std::size_t>(num("shards", 8));
-    options.cache.memoryCapacity =
-        static_cast<std::size_t>(num("mem-capacity", 256));
     options.warmOnStart = args.count("no-warm") == 0;
-    options.statsLogPeriodMs =
-        static_cast<double>(num("stats-period-ms", 0));
-    if (args.count("slow-ms"))
-        options.slowMs = std::stod(args["slow-ms"]);
-    options.slowlogSize =
-        static_cast<std::size_t>(num("slowlog-size", 32));
-    std::string warm = str("warm-start");
-    if (!warm.empty()) {
-        auto mode = warmStartModeFromName(warm);
-        if (!mode) {
-            std::fprintf(stderr,
-                         "unknown --warm-start mode '%s' "
-                         "(off|neighbors|model|both)\n",
-                         warm.c_str());
-            return 2;
-        }
-        options.warmStart = *mode;
-    }
     options.modelSnapshotPath = str("model-snapshot");
 
     std::string flight_dump = str("flight-dump");

@@ -1,7 +1,9 @@
 #include "cache.hh"
 
-#include <cstdio>
-#include <fstream>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <sstream>
 
 #include "support/logging.hh"
@@ -121,48 +123,10 @@ CacheEntry::instantiate(const TensorComputation &comp,
     return std::nullopt;
 }
 
-TuningCache::TuningCache(const TuningCache &other)
-{
-    std::lock_guard<std::mutex> lock(other._mutex);
-    _entries = other._entries;
-    _hits.store(other._hits.load());
-    _misses.store(other._misses.load());
-    _inserts.store(other._inserts.load());
-}
-
-TuningCache &
-TuningCache::operator=(const TuningCache &other)
-{
-    if (this == &other)
-        return *this;
-    std::scoped_lock lock(_mutex, other._mutex);
-    _entries = other._entries;
-    _hits.store(other._hits.load());
-    _misses.store(other._misses.load());
-    _inserts.store(other._inserts.load());
-    return *this;
-}
-
 TuningCache::TuningCache(TuningCache &&other) noexcept
 {
     std::lock_guard<std::mutex> lock(other._mutex);
     _entries = std::move(other._entries);
-    _hits.store(other._hits.load());
-    _misses.store(other._misses.load());
-    _inserts.store(other._inserts.load());
-}
-
-TuningCache &
-TuningCache::operator=(TuningCache &&other) noexcept
-{
-    if (this == &other)
-        return *this;
-    std::scoped_lock lock(_mutex, other._mutex);
-    _entries = std::move(other._entries);
-    _hits.store(other._hits.load());
-    _misses.store(other._misses.load());
-    _inserts.store(other._inserts.load());
-    return *this;
 }
 
 std::string
@@ -187,38 +151,13 @@ TuningCache::keyFor(const TensorComputation &comp,
     return key.str();
 }
 
-bool
-TuningCache::contains(const std::string &key) const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    bool found = _entries.count(key) > 0;
-    (found ? _hits : _misses).fetch_add(1, std::memory_order_relaxed);
-    return found;
-}
-
-const CacheEntry &
-TuningCache::lookup(const std::string &key) const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    auto it = _entries.find(key);
-    require(it != _entries.end(), "TuningCache: missing key ", key);
-    _hits.fetch_add(1, std::memory_order_relaxed);
-    // std::map node references stay valid across later inserts (the
-    // mapped *value* may still be rewritten by a same-key insert —
-    // see the class comment; tryGet() is the concurrent-safe read).
-    return it->second;
-}
-
 std::optional<CacheEntry>
 TuningCache::tryGet(const std::string &key) const
 {
     std::lock_guard<std::mutex> lock(_mutex);
     auto it = _entries.find(key);
-    if (it == _entries.end()) {
-        _misses.fetch_add(1, std::memory_order_relaxed);
+    if (it == _entries.end())
         return std::nullopt;
-    }
-    _hits.fetch_add(1, std::memory_order_relaxed);
     return it->second;
 }
 
@@ -227,25 +166,6 @@ TuningCache::insert(const std::string &key, CacheEntry entry)
 {
     std::lock_guard<std::mutex> lock(_mutex);
     _entries[key] = std::move(entry);
-    _inserts.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t
-TuningCache::hitCount() const
-{
-    return _hits.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-TuningCache::missCount() const
-{
-    return _misses.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-TuningCache::insertCount() const
-{
-    return _inserts.load(std::memory_order_relaxed);
 }
 
 std::size_t
@@ -306,15 +226,37 @@ TuningCache::saveFile(const std::string &path) const
     writeFileAtomic(path, toJson().dump() + "\n");
 }
 
-TuningCache
-TuningCache::loadFile(const std::string &path)
+namespace {
+
+/**
+ * Append the whole file at `path` to `text`, with one open and no
+ * stream machinery: the disk tier of the serve layer reads one small
+ * file per key. False when the file cannot be opened.
+ */
+bool
+readFile(const std::string &path, std::string &text)
 {
-    std::ifstream in(path);
-    expect(in.good(), "TuningCache: cannot read ", path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
+    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    char chunk[8192];
+    for (;;) {
+        ssize_t n = ::read(fd, chunk, sizeof chunk);
+        if (n > 0)
+            text.append(chunk, static_cast<std::size_t>(n));
+        else if (n == 0 || errno != EINTR)
+            break; // end of file, or unreadable (a directory)
+    }
+    ::close(fd);
+    return true;
+}
+
+/** Unparseable content yields an empty cache with a warning. */
+TuningCache
+parseText(const std::string &text, const std::string &path)
+{
     try {
-        return fromJson(Json::parse(buffer.str()));
+        return TuningCache::fromJson(Json::parse(text));
     } catch (const std::exception &e) {
         // A truncated or corrupt file (crash mid-write predating the
         // atomic rename, disk fault) costs the cached entries, never
@@ -325,14 +267,21 @@ TuningCache::loadFile(const std::string &path)
     }
 }
 
+} // namespace
+
+TuningCache
+TuningCache::loadFile(const std::string &path)
+{
+    std::string text;
+    expect(readFile(path, text), "TuningCache: cannot read ", path);
+    return parseText(text, path);
+}
+
 TuningCache
 TuningCache::loadFileIfExists(const std::string &path)
 {
-    std::ifstream probe(path);
-    if (!probe.good())
-        return TuningCache();
-    probe.close();
-    return loadFile(path);
+    std::string text;
+    return readFile(path, text) ? parseText(text, path) : TuningCache();
 }
 
 } // namespace amos

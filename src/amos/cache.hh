@@ -10,8 +10,6 @@
 #ifndef AMOS_AMOS_CACHE_HH
 #define AMOS_AMOS_CACHE_HH
 
-#include <atomic>
-#include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -58,19 +56,14 @@ struct CacheEntry
  *
  * All member functions are safe to call from multiple threads
  * concurrently (a production deployment tunes many operators at
- * once against one shared cache). lookup() hands out a reference
- * whose mapped value may be rewritten by a concurrent insert() of
- * the same key — concurrent readers should prefer tryGet(), which
- * copies the entry under the lock.
+ * once against one shared cache); reads copy the entry under the
+ * lock.
  */
 class TuningCache
 {
   public:
     TuningCache() = default;
-    TuningCache(const TuningCache &other);
-    TuningCache &operator=(const TuningCache &other);
     TuningCache(TuningCache &&other) noexcept;
-    TuningCache &operator=(TuningCache &&other) noexcept;
 
     /**
      * Cache key of a workload: operator name, iterator extents, and
@@ -80,8 +73,6 @@ class TuningCache
     static std::string keyFor(const TensorComputation &comp,
                               const HardwareSpec &hw);
 
-    bool contains(const std::string &key) const;
-    const CacheEntry &lookup(const std::string &key) const;
     /** Copy of the entry under the cache lock; nullopt on miss. */
     std::optional<CacheEntry> tryGet(const std::string &key) const;
     void insert(const std::string &key, CacheEntry entry);
@@ -109,27 +100,15 @@ class TuningCache
     void saveFile(const std::string &path) const;
     static TuningCache loadFile(const std::string &path);
 
-    /** loadFile when the file exists, else an empty cache. */
+    /**
+     * loadFile, except that a file that cannot be opened (absent, or
+     * removed meanwhile) yields an empty cache. Opens the file once.
+     */
     static TuningCache loadFileIfExists(const std::string &path);
-
-    /// @name Lifetime access statistics.
-    /// Monotonic counters over contains()/tryGet()/lookup() probes
-    /// and insert() calls; copies of a cache start from the source's
-    /// current values. Feed these into a MetricsRegistry to expose
-    /// them alongside the rest of the pipeline metrics.
-    /// @{
-    std::uint64_t hitCount() const;
-    std::uint64_t missCount() const;
-    std::uint64_t insertCount() const;
-    /// @}
 
   private:
     mutable std::mutex _mutex;
     std::map<std::string, CacheEntry> _entries;
-
-    mutable std::atomic<std::uint64_t> _hits{0};
-    mutable std::atomic<std::uint64_t> _misses{0};
-    std::atomic<std::uint64_t> _inserts{0};
 };
 
 } // namespace amos

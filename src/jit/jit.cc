@@ -1,12 +1,12 @@
 #include "jit.hh"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
 #include "support/dylib.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/str_utils.hh"
 #include "support/subprocess.hh"
 #include "support/trace.hh"
 
@@ -19,15 +19,6 @@ envOr(const char *name, const std::string &fallback)
 {
     const char *v = std::getenv(name);
     return v && *v ? v : fallback;
-}
-
-std::string
-hexKey(std::uint64_t key)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(key));
-    return buf;
 }
 
 } // namespace
@@ -68,17 +59,6 @@ JitEngine::global()
 {
     static JitEngine engine;
     return engine;
-}
-
-std::uint64_t
-JitEngine::fnv1a(const std::string &data)
-{
-    std::uint64_t h = 14695981039346656037ULL;
-    for (unsigned char c : data) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
 }
 
 std::uint64_t

@@ -102,9 +102,6 @@ class JitEngine
     /** On-disk .so path for `source` (test hook: corruption etc.). */
     std::string cachePathFor(const std::string &source) const;
 
-    /** FNV-1a 64-bit, exposed for cache-key tests. */
-    static std::uint64_t fnv1a(const std::string &data);
-
   private:
     struct Entry;
 

@@ -1,12 +1,38 @@
 #include "tiered_cache.hh"
 
-#include <filesystem>
-#include <functional>
+#include <dirent.h>
 
-#include "support/logging.hh"
+#include <algorithm>
+#include <cstring>
+#include <filesystem>
+
+#include "support/str_utils.hh"
 
 namespace amos {
 namespace serve {
+
+namespace {
+
+/** Name of a key's entry file in the disk directory. */
+std::string
+entryFileName(const std::string &key)
+{
+    return hexKey(fnv1a(key)) + ".json";
+}
+
+/** True for the names entryFileName() makes: 16 hex digits + .json. */
+bool
+isEntryFileName(const char *name)
+{
+    constexpr std::size_t kStem = 16;
+    return std::strlen(name) == kStem + 5 &&
+           std::strcmp(name + kStem, ".json") == 0 &&
+           std::all_of(name, name + kStem, [](char c) {
+               return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+           });
+}
+
+} // namespace
 
 TieredCache::TieredCache(Options options, MetricsRegistry *registry)
     : _options(std::move(options)),
@@ -20,13 +46,8 @@ TieredCache::TieredCache(Options options, MetricsRegistry *registry)
       _promotions(_metrics->counter("cache.promotions")),
       _memory(_options.memoryCapacity)
 {
-    if (_options.diskShards == 0)
-        _options.diskShards = 1;
-    if (hasDisk()) {
+    if (hasDisk())
         std::filesystem::create_directories(_options.diskDir);
-        for (std::size_t s = 0; s < _options.diskShards; ++s)
-            _shardMutexes.push_back(std::make_unique<std::mutex>());
-    }
 }
 
 std::size_t
@@ -34,19 +55,6 @@ TieredCache::memorySize() const
 {
     std::lock_guard<std::mutex> lock(_memMutex);
     return _memory.size();
-}
-
-std::size_t
-TieredCache::shardOf(const std::string &key) const
-{
-    return std::hash<std::string>{}(key) % _options.diskShards;
-}
-
-std::string
-TieredCache::shardPath(std::size_t shard) const
-{
-    return _options.diskDir + "/shard-" + std::to_string(shard) +
-           ".json";
 }
 
 std::optional<CacheEntry>
@@ -68,13 +76,9 @@ TieredCache::get(const std::string &key, Tier *tier)
         return std::nullopt;
     }
 
-    std::size_t shard = shardOf(key);
-    std::optional<CacheEntry> found;
-    {
-        std::lock_guard<std::mutex> lock(*_shardMutexes[shard]);
-        auto store = TuningCache::loadFileIfExists(shardPath(shard));
-        found = store.tryGet(key);
-    }
+    auto found = TuningCache::loadFileIfExists(_options.diskDir + "/" +
+                                               entryFileName(key))
+                     .tryGet(key);
     if (!found) {
         _misses.add();
         return std::nullopt;
@@ -98,30 +102,26 @@ TieredCache::put(const std::string &key, const CacheEntry &entry)
     }
     if (!hasDisk())
         return;
-    std::size_t shard = shardOf(key);
-    std::lock_guard<std::mutex> lock(*_shardMutexes[shard]);
-    // Read-modify-write of one shard under its mutex; saveFile's
-    // temp+rename keeps concurrent processes from seeing torn files.
-    auto store = TuningCache::loadFileIfExists(shardPath(shard));
-    store.insert(key, entry);
-    store.saveFile(shardPath(shard));
+    TuningCache doc;
+    doc.insert(key, entry);
+    doc.saveFile(_options.diskDir + "/" + entryFileName(key));
 }
 
 std::size_t
 TieredCache::warm()
 {
-    if (!hasDisk())
-        return 0;
+    const std::size_t cap = _options.memoryCapacity;
     std::size_t loaded = 0;
-    for (std::size_t s = 0; s < _options.diskShards; ++s) {
-        std::vector<std::pair<std::string, CacheEntry>> entries;
-        {
-            std::lock_guard<std::mutex> lock(*_shardMutexes[s]);
-            entries = TuningCache::loadFileIfExists(shardPath(s))
-                          .snapshot();
-        }
-        std::lock_guard<std::mutex> lock(_memMutex);
-        for (auto &[key, entry] : entries) {
+    for (const auto &name : entryFiles()) {
+        if (cap != 0 && loaded == cap)
+            break;
+        auto doc = TuningCache::loadFileIfExists(_options.diskDir + "/" +
+                                                 name);
+        for (auto &[key, entry] : doc.snapshot()) {
+            // Another key's entry is a miss for get(); skip it here too.
+            if (entryFileName(key) != name)
+                continue;
+            std::lock_guard<std::mutex> lock(_memMutex);
             _memory.put(key, std::move(entry));
             ++loaded;
         }
@@ -136,18 +136,27 @@ TieredCache::snapshotMemory() const
     return _memory.items();
 }
 
+std::vector<std::string>
+TieredCache::entryFiles() const
+{
+    std::vector<std::string> names;
+    // readdir() directly: std::filesystem builds a path per entry,
+    // which cost more than the rest of the listing.
+    DIR *dir = hasDisk() ? ::opendir(_options.diskDir.c_str()) : nullptr;
+    if (!dir)
+        return names;
+    while (const dirent *entry = ::readdir(dir))
+        if (isEntryFileName(entry->d_name))
+            names.emplace_back(entry->d_name);
+    ::closedir(dir);
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
 std::size_t
 TieredCache::diskSize() const
 {
-    if (!hasDisk())
-        return 0;
-    std::size_t total = 0;
-    for (std::size_t s = 0; s < _options.diskShards; ++s) {
-        std::lock_guard<std::mutex> lock(*_shardMutexes[s]);
-        total +=
-            TuningCache::loadFileIfExists(shardPath(s)).size();
-    }
-    return total;
+    return entryFiles().size();
 }
 
 } // namespace serve

@@ -3,15 +3,20 @@
  * Two-tier tuning cache for the compilation service.
  *
  * Tier 1 is a bounded in-memory LRU of CacheEntry values (hot
- * working set, lock-free of I/O). Tier 2 is a sharded on-disk store:
- * keys hash across N shard files, each an ordinary TuningCache JSON
- * document written with the crash-safe temp+rename protocol, so a
- * restarted server warms its memory tier from whatever the previous
- * process persisted. A disk hit is promoted into the memory tier.
+ * working set, lock-free of I/O). Tier 2 is an on-disk store of one
+ * file per key, `<dir>/<hexKey(fnv1a(key))>.json`, each a one-entry
+ * TuningCache document written with the crash-safe temp+rename
+ * protocol, so a restarted server warms its memory tier from whatever
+ * the previous process persisted. A disk hit is promoted into the
+ * memory tier.
  *
- * Sharding keeps both the write amplification (one insert rewrites
- * one shard, not the whole store) and the lock granularity (per
- * shard) proportional to 1/N.
+ * The disk tier needs no lock, in a process or across processes:
+ * distinct keys never share a file (a file holding another key's
+ * entry, i.e. a hash collision, reads as a miss), and rename()
+ * replaces a file atomically, so a reader sees the old or the new
+ * document and same-key writers, which carry the same artifact, leave
+ * the last rename's. A put rewrites one small file and a get reads
+ * one, whatever the store's size.
  */
 
 #ifndef AMOS_SERVE_TIERED_CACHE_HH
@@ -31,7 +36,7 @@
 namespace amos {
 namespace serve {
 
-/** In-memory LRU over a sharded on-disk TuningCache store. */
+/** In-memory LRU over an on-disk store of one file per key. */
 class TieredCache
 {
   public:
@@ -41,8 +46,6 @@ class TieredCache
         std::size_t memoryCapacity = 256;
         /// Disk-tier directory; empty disables the disk tier.
         std::string diskDir;
-        /// Shard-file count of the disk tier.
-        std::size_t diskShards = 8;
     };
 
     /** Which tier answered a get(). */
@@ -76,17 +79,18 @@ class TieredCache
     std::optional<CacheEntry> get(const std::string &key,
                                   Tier *tier = nullptr);
 
-    /** Insert into the memory tier and persist to the disk shard. */
+    /** Insert into the memory tier and write the key's disk file. */
     void put(const std::string &key, const CacheEntry &entry);
 
     /**
-     * Preload every disk shard into the memory tier (up to its
-     * capacity); returns the number of entries loaded. Called once
-     * at server start.
+     * Preload disk entries into the memory tier, in file-name order,
+     * until it holds memoryCapacity of them (all of them when the
+     * capacity is 0); returns the number loaded. Called once at
+     * server start.
      */
     std::size_t warm();
 
-    /** Total entries across all disk shards (0 without a disk). */
+    /** Entry files on disk (0 without a disk); parses none. */
     std::size_t diskSize() const;
 
     /**
@@ -99,8 +103,8 @@ class TieredCache
     snapshotMemory() const;
 
   private:
-    std::size_t shardOf(const std::string &key) const;
-    std::string shardPath(std::size_t shard) const;
+    /** Names of the entry files in the disk directory, sorted. */
+    std::vector<std::string> entryFiles() const;
 
     Options _options;
 
@@ -115,9 +119,6 @@ class TieredCache
 
     mutable std::mutex _memMutex;
     LruMap<std::string, CacheEntry> _memory;
-
-    /// One lock per shard file serialises its read-modify-write.
-    std::vector<std::unique_ptr<std::mutex>> _shardMutexes;
 };
 
 } // namespace serve

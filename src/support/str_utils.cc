@@ -43,6 +43,26 @@ fmtDouble(double v, int precision)
     return buf;
 }
 
+std::uint64_t
+fnv1a(const std::string &data)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    for (unsigned char c : data) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+std::string
+hexKey(std::uint64_t key)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(key));
+    return buf;
+}
+
 TextTable::TextTable(std::vector<std::string> headers)
     : _headers(std::move(headers))
 {

@@ -1,12 +1,14 @@
 /**
  * @file
  * String helpers: joining, fixed-width table formatting used by the
- * benchmark harnesses to print paper-style rows.
+ * benchmark harnesses to print paper-style rows, and the content hash
+ * that names files in the on-disk stores.
  */
 
 #ifndef AMOS_SUPPORT_STR_UTILS_HH
 #define AMOS_SUPPORT_STR_UTILS_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -41,6 +43,15 @@ std::string padRight(const std::string &s, std::size_t width);
 
 /** Format a double with fixed precision. */
 std::string fmtDouble(double v, int precision = 2);
+
+/** FNV-1a 64-bit hash of a string. */
+std::uint64_t fnv1a(const std::string &data);
+
+/**
+ * A 64-bit key as 16 lower-case hex digits: the file-name stem of the
+ * JIT object store and of the serve disk tier.
+ */
+std::string hexKey(std::uint64_t key);
 
 /**
  * Minimal text table used by benches: set headers, add string rows,

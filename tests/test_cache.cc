@@ -125,13 +125,13 @@ TEST(TuningCacheTest, FileRoundTrip)
     auto loaded = TuningCache::loadFile(path);
     std::remove(path.c_str());
 
-    ASSERT_TRUE(loaded.contains("k1"));
-    const auto &round = loaded.lookup("k1");
-    EXPECT_EQ(round.intrinsicName, "wmma_16x16x16");
-    EXPECT_EQ(round.mapping.groups, entry.mapping.groups);
-    EXPECT_DOUBLE_EQ(round.cycles, 12345.0);
+    auto round = loaded.tryGet("k1");
+    ASSERT_TRUE(round.has_value());
+    EXPECT_EQ(round->intrinsicName, "wmma_16x16x16");
+    EXPECT_EQ(round->mapping.groups, entry.mapping.groups);
+    EXPECT_DOUBLE_EQ(round->cycles, 12345.0);
     EXPECT_EQ(loaded.size(), 1u);
-    EXPECT_THROW(loaded.lookup("absent"), PanicError);
+    EXPECT_FALSE(loaded.tryGet("absent").has_value());
     EXPECT_THROW(TuningCache::loadFile("/no/such/file.json"),
                  FatalError);
 }
@@ -157,12 +157,12 @@ TEST(TuningCacheTest, SaveIsAtomicAndLeavesNoTempFile)
     auto loaded = TuningCache::loadFile(path);
     std::remove(path.c_str());
     EXPECT_EQ(loaded.size(), 1u);
-    EXPECT_TRUE(loaded.contains("k"));
+    EXPECT_TRUE(loaded.tryGet("k").has_value());
 }
 
 TEST(TuningCacheTest, ConcurrentProcessesSavingOnePathNeverFail)
 {
-    // Servers sharing one --cache-dir save the same shard file from
+    // Servers sharing one --cache-dir save the same entry file from
     // different processes. Every save must succeed and every read
     // must parse a whole document; a temp name shared between the
     // writers made one writer's rename fail, or published a file
@@ -249,9 +249,9 @@ TEST(TuningCacheTest, LoadSkipsCorruptEntriesKeepsGoodOnes)
 
     auto loaded = TuningCache::fromJson(doc);
     EXPECT_EQ(loaded.size(), 1u);
-    EXPECT_TRUE(loaded.contains("good"));
-    EXPECT_FALSE(loaded.contains("bad"));
-    EXPECT_DOUBLE_EQ(loaded.lookup("good").cycles, 9.0);
+    ASSERT_TRUE(loaded.tryGet("good").has_value());
+    EXPECT_FALSE(loaded.tryGet("bad").has_value());
+    EXPECT_DOUBLE_EQ(loaded.tryGet("good")->cycles, 9.0);
 }
 
 TEST(TuningCacheTest, LoadFileIfExistsHandlesMissingFile)
@@ -271,6 +271,13 @@ TEST(TuningCacheTest, LoadFileIfExistsHandlesMissingFile)
     auto loaded = TuningCache::loadFileIfExists(path);
     std::remove(path.c_str());
     EXPECT_EQ(loaded.size(), 1u);
+
+    // A path that opens but cannot be read as a file (a directory)
+    // degrades to an empty cache instead of raising.
+    EXPECT_EQ(TuningCache::loadFileIfExists(
+                  std::filesystem::temp_directory_path().string())
+                  .size(),
+              0u);
 }
 
 TEST(CompileWithCache, MissTunesAndPopulates)
@@ -284,7 +291,7 @@ TEST(CompileWithCache, MissTunesAndPopulates)
     EXPECT_TRUE(result.tensorized);
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_TRUE(
-        cache.contains(TuningCache::keyFor(conv, hw::v100())));
+        cache.tryGet(TuningCache::keyFor(conv, hw::v100())).has_value());
 }
 
 TEST(CompileWithCache, HitReproducesTunedLatency)
@@ -397,86 +404,6 @@ TEST(TuningCacheTest, ConcurrentInsertLookupSameKey)
     EXPECT_EQ(shared->intrinsicName,
               "intr_" + std::to_string(writer));
     EXPECT_EQ(shared->schedule.stageDepth, writer + 1);
-}
-
-TEST(TuningCacheTest, HitMissInsertCountersTrackProbes)
-{
-    TuningCache cache;
-    EXPECT_EQ(cache.hitCount(), 0u);
-    EXPECT_EQ(cache.missCount(), 0u);
-    EXPECT_EQ(cache.insertCount(), 0u);
-
-    EXPECT_FALSE(cache.contains("k"));
-    EXPECT_FALSE(cache.tryGet("k").has_value());
-    EXPECT_EQ(cache.missCount(), 2u);
-    EXPECT_EQ(cache.hitCount(), 0u);
-
-    CacheEntry entry;
-    entry.intrinsicName = "wmma_16x16x16";
-    entry.mapping.groups = {{0}, {1}, {4}};
-    cache.insert("k", entry);
-    cache.insert("k", entry); // same-key rewrite still counts
-    EXPECT_EQ(cache.insertCount(), 2u);
-
-    EXPECT_TRUE(cache.contains("k"));
-    EXPECT_TRUE(cache.tryGet("k").has_value());
-    (void)cache.lookup("k");
-    EXPECT_EQ(cache.hitCount(), 3u);
-    EXPECT_EQ(cache.missCount(), 2u);
-}
-
-TEST(TuningCacheTest, CountersSurviveCopyAndMove)
-{
-    // Copies inherit the source's counter values (the statistics
-    // describe the cached *content*'s history, not the object), and
-    // then diverge independently.
-    TuningCache cache;
-    CacheEntry entry;
-    entry.intrinsicName = "wmma_16x16x16";
-    cache.insert("k", entry);
-    (void)cache.tryGet("k");
-    (void)cache.tryGet("absent");
-
-    TuningCache copied(cache);
-    EXPECT_EQ(copied.hitCount(), 1u);
-    EXPECT_EQ(copied.missCount(), 1u);
-    EXPECT_EQ(copied.insertCount(), 1u);
-    (void)copied.tryGet("k");
-    EXPECT_EQ(copied.hitCount(), 2u);
-    EXPECT_EQ(cache.hitCount(), 1u); // the source is untouched
-
-    TuningCache moved(std::move(copied));
-    EXPECT_EQ(moved.hitCount(), 2u);
-    EXPECT_EQ(moved.missCount(), 1u);
-    EXPECT_EQ(moved.insertCount(), 1u);
-}
-
-TEST(TuningCacheTest, CountersAreExactUnderContention)
-{
-    // N threads probing disjoint keys: totals must be exact, not
-    // approximately right. Run under TSan in CI.
-    TuningCache cache;
-    CacheEntry entry;
-    entry.intrinsicName = "wmma_16x16x16";
-    cache.insert("present", entry);
-
-    const int threads = 8, iters = 250;
-    std::vector<std::thread> workers;
-    for (int t = 0; t < threads; ++t) {
-        workers.emplace_back([&cache] {
-            for (int i = 0; i < iters; ++i) {
-                (void)cache.tryGet("present");
-                (void)cache.tryGet("absent");
-            }
-        });
-    }
-    for (auto &w : workers)
-        w.join();
-    EXPECT_EQ(cache.hitCount(),
-              static_cast<std::uint64_t>(threads) * iters);
-    EXPECT_EQ(cache.missCount(),
-              static_cast<std::uint64_t>(threads) * iters);
-    EXPECT_EQ(cache.insertCount(), 1u);
 }
 
 TEST(CompileWithCache, ConcurrentCompilersShareOneCache)

@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +29,7 @@
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "support/rng.hh"
+#include "support/str_utils.hh"
 #include "support/flight_recorder.hh"
 
 namespace amos {
@@ -314,7 +318,6 @@ TEST(Service, RestartWarmsFromDiskTier)
         ServeOptions options;
         options.workers = 1;
         options.cache.diskDir = dir;
-        options.cache.diskShards = 4;
         CompileService service(options);
         auto cold = service.serve(req);
         ASSERT_TRUE(cold.ok);
@@ -328,7 +331,6 @@ TEST(Service, RestartWarmsFromDiskTier)
         ServeOptions options;
         options.workers = 1;
         options.cache.diskDir = dir;
-        options.cache.diskShards = 4;
         CompileService service(options);
         EXPECT_GE(service.stats().warmedEntries, 1u);
         auto warm = service.serve(req);
@@ -343,7 +345,6 @@ TEST(Service, RestartWarmsFromDiskTier)
         ServeOptions options;
         options.workers = 1;
         options.cache.diskDir = dir;
-        options.cache.diskShards = 4;
         options.warmOnStart = false;
         CompileService service(options);
         auto disk = service.serve(req);
@@ -384,7 +385,6 @@ TEST(TieredCacheTest, LruBoundHoldsAndDiskBacksEvictions)
     TieredCache::Options options;
     options.memoryCapacity = 2;
     options.diskDir = dir;
-    options.diskShards = 2;
     TieredCache cache(options);
 
     CacheEntry entry;
@@ -408,6 +408,207 @@ TEST(TieredCacheTest, LruBoundHoldsAndDiskBacksEvictions)
 
     EXPECT_FALSE(cache.get("absent", &tier).has_value());
     EXPECT_EQ(tier, TieredCache::Tier::None);
+    std::filesystem::remove_all(dir);
+}
+
+/** A distinguishable disk-tier entry. */
+CacheEntry
+diskEntry(double cycles)
+{
+    CacheEntry entry;
+    entry.intrinsicName = "wmma_16x16x16";
+    entry.mapping.groups = {{0}, {1}, {4}};
+    entry.cycles = cycles;
+    return entry;
+}
+
+/** Path of a key's entry file: 16 hex digits of fnv1a(key). */
+std::string
+entryPath(const std::string &dir, const std::string &key)
+{
+    return dir + "/" + hexKey(fnv1a(key)) + ".json";
+}
+
+TieredCache::Options
+diskOnly(const std::string &dir, std::size_t memoryCapacity = 256)
+{
+    TieredCache::Options options;
+    options.diskDir = dir;
+    options.memoryCapacity = memoryCapacity;
+    return options;
+}
+
+/**
+ * Servers sharing one --cache-dir put distinct keys from separate
+ * processes. No put may erase another's: each key owns its file.
+ */
+TEST(TieredCacheTest, ForkedWritersLoseNoKeys)
+{
+    auto dir = freshDiskDir("forked");
+    constexpr int kWriters = 4;
+    constexpr int kKeys = 100;
+    auto keyOf = [](int w, int i) {
+        return "w" + std::to_string(w) + "/k" + std::to_string(i);
+    };
+    std::vector<pid_t> writers;
+    for (int w = 0; w < kWriters; ++w) {
+        pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            int failures = 0;
+            try {
+                TieredCache cache(diskOnly(dir));
+                for (int i = 0; i < kKeys; ++i)
+                    cache.put(keyOf(w, i), diskEntry(w * kKeys + i));
+            } catch (const std::exception &) {
+                failures = 1;
+            }
+            ::_exit(failures);
+        }
+        writers.push_back(pid);
+    }
+    for (pid_t pid : writers) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        ASSERT_TRUE(WIFEXITED(status));
+        EXPECT_EQ(WEXITSTATUS(status), 0) << "writer " << pid;
+    }
+
+    TieredCache reader(diskOnly(dir));
+    EXPECT_EQ(reader.diskSize(),
+              static_cast<std::size_t>(kWriters * kKeys));
+    int lost = 0;
+    for (int w = 0; w < kWriters; ++w) {
+        for (int i = 0; i < kKeys; ++i) {
+            TieredCache::Tier tier;
+            auto got = reader.get(keyOf(w, i), &tier);
+            if (!got || tier != TieredCache::Tier::Disk ||
+                got->cycles != w * kKeys + i)
+                ++lost;
+        }
+    }
+    EXPECT_EQ(lost, 0) << "keys lost to concurrent writers";
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * A torn entry file (a crash outside the rename protocol, a disk
+ * fault) is a miss, never an exception or a wrong entry, and only
+ * for its own key; the next put of that key repairs it.
+ */
+TEST(TieredCacheTest, TruncatedEntryFileIsAMissUntilRewritten)
+{
+    auto dir = freshDiskDir("truncated");
+    {
+        TieredCache cache(diskOnly(dir));
+        cache.put("a", diskEntry(1.0));
+        cache.put("b", diskEntry(2.0));
+        cache.put("c", diskEntry(3.0));
+    }
+    const std::string path = entryPath(dir, "a");
+    std::string whole;
+    {
+        std::ifstream in(path, std::ios::binary);
+        whole.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_FALSE(whole.empty());
+    const std::string exact = diskEntry(1.0).toJson().dump();
+
+    for (std::size_t len = 0; len <= whole.size(); ++len) {
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << whole.substr(0, len);
+        }
+        TieredCache cache(diskOnly(dir));
+        std::optional<CacheEntry> got;
+        ASSERT_NO_THROW(got = cache.get("a")) << "length " << len;
+        if (got) {
+            EXPECT_EQ(got->toJson().dump(), exact) << "length " << len;
+        }
+        auto b = cache.get("b");
+        auto c = cache.get("c");
+        ASSERT_TRUE(b && c) << "length " << len;
+        EXPECT_DOUBLE_EQ(b->cycles, 2.0);
+        EXPECT_DOUBLE_EQ(c->cycles, 3.0);
+    }
+
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << whole.substr(0, whole.size() / 2);
+    }
+    TieredCache(diskOnly(dir)).put("a", diskEntry(1.0));
+    auto repaired = TieredCache(diskOnly(dir)).get("a");
+    ASSERT_TRUE(repaired.has_value());
+    EXPECT_EQ(repaired->toJson().dump(), exact);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TieredCacheTest, FileHoldingAnotherKeysEntryIsAMiss)
+{
+    auto dir = freshDiskDir("foreign");
+    TieredCache(diskOnly(dir)).put("b", diskEntry(2.0));
+    std::filesystem::copy_file(entryPath(dir, "b"), entryPath(dir, "a"));
+
+    TieredCache cache(diskOnly(dir));
+    TieredCache::Tier tier;
+    EXPECT_FALSE(cache.get("a", &tier).has_value());
+    EXPECT_EQ(tier, TieredCache::Tier::None);
+    auto b = cache.get("b", &tier);
+    ASSERT_TRUE(b.has_value());
+    EXPECT_EQ(tier, TieredCache::Tier::Disk);
+    EXPECT_DOUBLE_EQ(b->cycles, 2.0);
+    // warm() agrees with get(): b once, from its own file.
+    EXPECT_EQ(TieredCache(diskOnly(dir)).warm(), 1u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TieredCacheTest, WarmLoadsAtMostMemoryCapacity)
+{
+    auto dir = freshDiskDir("warmcap");
+    {
+        TieredCache cache(diskOnly(dir, 0));
+        for (int i = 0; i < 10; ++i)
+            cache.put("k" + std::to_string(i), diskEntry(i));
+    }
+    auto keysOf = [](const TieredCache &cache) {
+        std::vector<std::string> keys;
+        for (const auto &[key, entry] : cache.snapshotMemory())
+            keys.push_back(key);
+        std::sort(keys.begin(), keys.end());
+        return keys;
+    };
+    TieredCache first(diskOnly(dir, 4));
+    TieredCache second(diskOnly(dir, 4));
+    EXPECT_EQ(first.warm(), 4u);
+    EXPECT_EQ(second.warm(), 4u);
+    EXPECT_EQ(first.memorySize(), 4u);
+    EXPECT_EQ(keysOf(first), keysOf(second));
+
+    // Capacity 0 is unbounded: every entry loads.
+    TieredCache all(diskOnly(dir, 0));
+    EXPECT_EQ(all.warm(), 10u);
+    EXPECT_EQ(all.memorySize(), 10u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TieredCacheTest, DiskSizeCountsOnlyEntryFiles)
+{
+    auto dir = freshDiskDir("entryfiles");
+    TieredCache cache(diskOnly(dir));
+    cache.put("a", diskEntry(1.0));
+    cache.put("b", diskEntry(2.0));
+    // Leftovers that are not entries: a writer's temp file and a
+    // shard file of the old sharded layout.
+    std::ofstream(entryPath(dir, "c") + ".1234.0.tmp") << "{}";
+    TuningCache shard;
+    shard.insert("c", diskEntry(3.0));
+    shard.insert("d", diskEntry(4.0));
+    shard.saveFile(dir + "/shard-0.json");
+
+    EXPECT_EQ(cache.diskSize(), 2u);
+    TieredCache fresh(diskOnly(dir));
+    EXPECT_EQ(fresh.warm(), 2u);
+    EXPECT_FALSE(fresh.get("c").has_value());
     std::filesystem::remove_all(dir);
 }
 
@@ -1024,7 +1225,6 @@ TEST(Service, StaleDiskEntryIsACacheHitButNotAServedHit)
     {
         TieredCache::Options cache_options;
         cache_options.diskDir = dir;
-        cache_options.diskShards = 4;
         TieredCache cache(cache_options);
         CacheEntry entry;
         entry.intrinsicName = "no_such_intrinsic";
@@ -1036,7 +1236,6 @@ TEST(Service, StaleDiskEntryIsACacheHitButNotAServedHit)
     ServeOptions options;
     options.workers = 1;
     options.cache.diskDir = dir;
-    options.cache.diskShards = 4;
     options.warmOnStart = false;
     CompileService service(options);
     auto outcome = service.serve(req);
