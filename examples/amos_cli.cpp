@@ -55,13 +55,24 @@
  *   --require-tensorized was given, 4 an output path (--trace-out,
  *   --flight-dump, --explain-out, --telemetry-out, --emit-c) is
  *   not writable.
+ *
+ * An unknown flag, a flag missing its value, or a malformed number
+ * exits 2 with a message naming the flag. The request flags (op,
+ * dims, hw, dtype, generations, seed, threads, warm-start) are
+ * decoded by the serve protocol's CompileRequest::fromJson, so the
+ * CLI accepts exactly what amos_served accepts: --generations 0 or
+ * --warm-start banana exits 2 as well.
  */
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
+#include <set>
 
 #include "amos/amos.hh"
 #include "codegen/exec_c.hh"
@@ -113,17 +124,34 @@ writeFileOrThrow(const std::string &path,
                       path + "'");
 }
 
+/** A bad command line: main() reports it and exits 2. */
+struct UsageError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/// Flags that take no value.
+const std::set<std::string> kSwitches = {
+    "json", "list-mappings", "explain", "require-tensorized"};
+
+/// Flags that are compile-request fields; the wire name is the flag
+/// with '-' as '_'.
+const std::set<std::string> kRequestStrings = {"op", "hw", "dtype",
+                                               "warm-start"};
+const std::set<std::string> kRequestNumbers = {
+    "batch",  "cin",    "cout",       "size",   "kernel",
+    "stride", "dilation", "m",        "n",      "k",
+    "depth",  "kdepth", "multiplier", "groups", "generations",
+    "seed",   "threads"};
+
+/// The remaining flags that take a value.
+const std::set<std::string> kValueFlags = {
+    "cache",       "emit-c",        "trace-out", "flight-dump",
+    "explain-out", "telemetry-out", "engine",    "model-snapshot"};
+
 struct Args
 {
     std::map<std::string, std::string> values;
-
-    std::int64_t
-    num(const std::string &key, std::int64_t fallback) const
-    {
-        auto it = values.find(key);
-        return it == values.end() ? fallback
-                                  : std::stoll(it->second);
-    }
 
     std::string
     str(const std::string &key, const std::string &fallback) const
@@ -139,34 +167,69 @@ struct Args
     }
 };
 
+Args
+parseArgs(int argc, char **argv)
+{
+    Args args;
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i];
+        if (arg.rfind("--", 0) != 0)
+            throw UsageError("unexpected argument '" + arg + "'");
+        std::string flag = arg.substr(2);
+        if (kSwitches.count(flag)) {
+            args.values[flag] = "1";
+            continue;
+        }
+        if (!kRequestStrings.count(flag) &&
+            !kRequestNumbers.count(flag) && !kValueFlags.count(flag))
+            throw UsageError("unknown flag " + arg);
+        if (i + 1 == argc ||
+            std::strncmp(argv[i + 1], "--", 2) == 0)
+            throw UsageError(arg + " needs a value");
+        args.values[flag] = argv[++i];
+    }
+    return args;
+}
+
+/** A numeric flag's value: an integer and nothing else. */
+std::int64_t
+integerFlag(const std::string &flag, const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    long long value = std::strtoll(text.c_str(), &end, 10);
+    if (text.empty() || *end != '\0' || errno == ERANGE)
+        throw UsageError("--" + flag + " expects an integer, got '" +
+                         text + "'");
+    return value;
+}
+
 /**
- * The CLI describes the same compilations as the serve protocol;
- * building a CompileRequest keeps operator construction and dim
- * defaults in one place (serve::computationFromRequest).
+ * The CLI describes the same compilations as the serve protocol, so
+ * its request flags are decoded as a protocol request: the same
+ * field checks, and operator construction and dim defaults in one
+ * place (serve::computationFromRequest).
  */
 serve::CompileRequest
 requestFromArgs(const Args &args)
 {
-    serve::CompileRequest req;
-    req.op = args.str("op", "conv2d");
-    req.hw = args.str("hw", "v100");
-    req.dtype = args.str("dtype", "f16");
-    for (const char *key :
-         {"batch", "cin", "cout", "size", "kernel", "stride",
-          "dilation", "m", "n", "k", "depth", "kdepth",
-          "multiplier", "groups"}) {
-        auto it = args.values.find(key);
-        if (it != args.values.end())
-            req.dims[key] = std::stoll(it->second);
-    }
-    req.generations =
-        static_cast<int>(args.num("generations", 8));
-    req.seed = static_cast<std::uint64_t>(args.num("seed", 2022));
+    Json fields = Json::object();
     // Exploration worker threads; the tuned result is identical for
     // every value (0 = one per hardware thread).
-    req.numThreads = static_cast<int>(args.num("threads", 0));
-    req.warmStart = args.str("warm-start", "");
-    return req;
+    fields.set("threads", Json(std::int64_t{0}));
+    for (const auto &[flag, value] : args.values) {
+        std::string field = flag;
+        std::replace(field.begin(), field.end(), '-', '_');
+        if (kRequestStrings.count(flag))
+            fields.set(field, Json(value));
+        else if (kRequestNumbers.count(flag))
+            fields.set(field, Json(integerFlag(flag, value)));
+    }
+    try {
+        return serve::CompileRequest::fromJson(fields);
+    } catch (const std::exception &e) {
+        throw UsageError(e.what());
+    }
 }
 
 int
@@ -394,18 +457,6 @@ int
 main(int argc, char **argv)
 {
     Args args;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--", 2) != 0) {
-            std::fprintf(stderr, "unexpected argument '%s'\n", arg);
-            return 2;
-        }
-        std::string key = arg + 2;
-        if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-            args.values[key] = argv[++i];
-        else
-            args.values[key] = "1";
-    }
     auto jsonError = [&args](const char *code, const char *what) {
         if (!args.flag("json"))
             return;
@@ -420,7 +471,12 @@ main(int argc, char **argv)
         std::printf("%s\n", out.dump().c_str());
     };
     try {
+        args = parseArgs(argc, argv);
         return runCli(args);
+    } catch (const UsageError &e) {
+        jsonError("bad_request", e.what());
+        std::fprintf(stderr, "amos_cli: %s\n", e.what());
+        return 2;
     } catch (const IoError &e) {
         jsonError("io_error", e.what());
         std::fprintf(stderr, "%s\n", e.what());

@@ -1,13 +1,13 @@
 #include "learned_model.hh"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "model/perf_model.hh"
 #include "support/logging.hh"
+#include "support/str_utils.hh"
 #include "support/subprocess.hh"
 
 namespace amos {
@@ -223,16 +223,7 @@ LearnedModel::loadFile(const std::string &path)
 std::string
 LearnedModel::digest() const
 {
-    std::string doc = toJson().dump();
-    std::uint64_t h = 1469598103934665603ull; // FNV-1a
-    for (unsigned char c : doc) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return std::string(buf);
+    return hexKey(fnv1a(toJson().dump()));
 }
 
 double

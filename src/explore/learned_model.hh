@@ -95,8 +95,9 @@ class LearnedModel
     loadFile(const std::string &path);
 
     /**
-     * Stable content digest of the snapshot (FNV-1a over the JSON
-     * dump, hex). Distinguishes snapshots in cache keys: two models
+     * Stable content digest of the snapshot: hexKey(fnv1a(...)) of
+     * the JSON dump, the hash the serve disk tier and the JIT object
+     * store use. Distinguishes snapshots in cache keys: two models
      * with identical weights share a digest.
      */
     std::string digest() const;

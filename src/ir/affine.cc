@@ -58,20 +58,6 @@ AffineForm::coeffOf(const VarNode *var) const
     return 0;
 }
 
-Expr
-AffineForm::toExpr() const
-{
-    Expr out(_constant);
-    for (const auto &term : _terms) {
-        Expr var(std::shared_ptr<const ExprNode>(
-            // Re-wrap the borrowed VarNode without owning it; the
-            // computation that produced this form keeps it alive.
-            std::shared_ptr<const ExprNode>(), term.var));
-        out = out + var * Expr(term.coeff);
-    }
-    return out;
-}
-
 std::string
 AffineForm::toString() const
 {

@@ -59,9 +59,6 @@ class AffineForm
     /** True iff the variable appears with nonzero coefficient. */
     bool uses(const VarNode *var) const { return coeffOf(var) != 0; }
 
-    /** Rebuild an Expr equal to this form. */
-    Expr toExpr() const;
-
     std::string toString() const;
 
   private:

@@ -82,12 +82,6 @@ BinaryNode::BinaryNode(ExprKind kind, Expr a, Expr b)
 }
 
 Expr
-makeIntImm(std::int64_t value)
-{
-    return Expr(value);
-}
-
-Expr
 operator+(Expr a, Expr b)
 {
     auto *ia = asIntImm(a);

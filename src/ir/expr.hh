@@ -143,7 +143,6 @@ class BinaryNode : public ExprNode
 /// Builders constant-fold literal operands and apply simple algebraic
 /// identities (x+0, x*1, x*0) so printed mappings stay readable.
 /// @{
-Expr makeIntImm(std::int64_t value);
 Expr operator+(Expr a, Expr b);
 Expr operator-(Expr a, Expr b);
 Expr operator*(Expr a, Expr b);

@@ -67,13 +67,6 @@ class ExecPlan
     /** Why compilation fell back (empty when compiled). */
     const std::string &fallbackReason() const { return _reason; }
 
-    /**
-     * Outer axis the direct sweep splits across threads, or -1 when
-     * no axis provably writes disjoint output elements (the sweep
-     * then stays serial regardless of the requested thread count).
-     */
-    int directSplitAxis() const { return _directSplit; }
-
     /** Split level of the packed compute stage, or -1. */
     int packedSplitLevel() const { return _packedSplit; }
 

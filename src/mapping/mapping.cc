@@ -302,16 +302,6 @@ MappingPlan::physicalComputeExprs() const
     return out;
 }
 
-std::vector<Expr>
-MappingPlan::quotientExprs() const
-{
-    std::vector<Expr> out;
-    for (const auto &group : _groups)
-        out.push_back(floorDiv(fusedFlatExpr(group),
-                               Expr(group.intrinsicExtent)));
-    return out;
-}
-
 std::string
 MappingPlan::computeMappingString() const
 {

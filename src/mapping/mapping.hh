@@ -170,9 +170,6 @@ class MappingPlan
      */
     std::vector<Expr> physicalComputeExprs() const;
 
-    /** Quotient expressions locating the tile per intrinsic iter. */
-    std::vector<Expr> quotientExprs() const;
-
     /** Table-5-style one-line rendering of the compute mapping. */
     std::string computeMappingString() const;
 

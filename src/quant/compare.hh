@@ -7,8 +7,8 @@
  *  - Exact: integer accumulation (and any engine-vs-engine check) is
  *    deterministic, so the comparison is per-lane bit equality — a
  *    single flipped bit fails.
- *  - Bounded: value-changing paths (requantization, bf16 input
- *    rounding) are compared against a float reference within
+ *  - Bounded: value-changing paths (bf16 input rounding) are
+ *    compared against a float reference within
  *    |got - want| <= absTol + relTol * |want|.
  *
  * defaultToleranceFor() picks the regime from the output dtype:

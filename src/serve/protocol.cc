@@ -36,22 +36,23 @@ CompileRequest::dim(const std::string &key,
     return it == dims.end() ? fallback : it->second;
 }
 
+WarmStartMode
+CompileRequest::warmMode(WarmStartMode fallback) const
+{
+    if (warmStart.empty())
+        return fallback;
+    auto mode = warmStartModeFromName(warmStart);
+    expect(mode.has_value(), "request: unknown warm_start mode '",
+           warmStart, "' (off|neighbors|model|both)");
+    return *mode;
+}
+
 std::string
 CompileRequest::cacheKey() const
 {
-    // Operator shape + hardware (the TuningCache key) extended with
-    // the search knobs: a deeper search is a different artifact.
-    auto comp = computationFromRequest(*this);
-    auto spec = hardwareFromRequest(*this);
-    std::ostringstream key;
-    key << TuningCache::keyFor(comp, spec) << "/g" << generations
-        << "_s" << seed;
-    // A warm-started exploration walks a different trajectory, so
-    // the mode is part of the artifact's identity; "off" keeps the
-    // historical key so persisted caches stay valid.
-    if (!warmStart.empty() && warmStart != "off")
-        key << "/w" << warmStart;
-    return key.str();
+    return serveCacheKey(computationFromRequest(*this),
+                         hardwareFromRequest(*this), *this,
+                         warmMode(), nullptr);
 }
 
 Json
@@ -93,9 +94,7 @@ CompileRequest::fromJson(const Json &json)
                    "request: type must be 'compile', got '",
                    value.asString(), "'");
         } else if (key == "id") {
-            req.id = value.kind() == Json::Kind::String
-                         ? value.asString()
-                         : value.dump();
+            req.id = correlationId(value);
         } else if (key == "op") {
             req.op = value.asString();
         } else if (key == "hw") {
@@ -115,18 +114,14 @@ CompileRequest::fromJson(const Json &json)
             expect(req.deadlineMs >= 0,
                    "request: deadline_ms must be >= 0");
         } else if (key == "trace_id") {
-            req.traceId = value.kind() == Json::Kind::String
-                              ? value.asString()
-                              : value.dump();
+            req.traceId = correlationId(value);
         } else if (key == "explain") {
             req.explain = value.kind() == Json::Kind::Bool
                               ? value.asBool()
                               : value.asInt() != 0;
         } else if (key == "warm_start") {
             req.warmStart = value.asString();
-            expect(warmStartModeFromName(req.warmStart).has_value(),
-                   "request: unknown warm_start mode '",
-                   req.warmStart, "' (off|neighbors|model|both)");
+            req.warmMode(); // an unknown mode is a bad request
         } else {
             expect(value.kind() == Json::Kind::Number,
                    "request: unknown non-numeric field '", key, "'");
@@ -215,22 +210,52 @@ hardwareFromRequest(const CompileRequest &req)
     return hw::byName(req.hw);
 }
 
+std::string
+correlationId(const Json &value)
+{
+    return value.kind() == Json::Kind::String ? value.asString()
+                                              : value.dump();
+}
+
+std::string
+serveCacheKey(const TensorComputation &comp, const HardwareSpec &hw,
+              const CompileRequest &req, WarmStartMode mode,
+              const LearnedModel *model)
+{
+    // Operator shape + hardware (the TuningCache key) extended with
+    // the search knobs: a deeper search is a different artifact.
+    std::ostringstream key;
+    key << TuningCache::keyFor(comp, hw) << "/g" << req.generations
+        << "_s" << req.seed;
+    // A warm-started exploration walks a different trajectory, so
+    // the mode (and a model mode's snapshot) is part of the
+    // artifact's identity; off keeps the historical key so persisted
+    // caches stay valid.
+    if (mode != WarmStartMode::Off) {
+        key << "/w" << warmStartModeName(mode);
+        if (model && warmStartUsesModel(mode))
+            key << "-m" << model->digest().substr(0, 8);
+    }
+    return key.str();
+}
+
 TuneOptions
-tuneOptionsFromRequest(const CompileRequest &req)
+tuneOptionsFromRequest(const CompileRequest &req, WarmStartMode mode)
 {
     TuneOptions options;
     options.generations = req.generations;
     options.seed = req.seed;
     options.numThreads = req.numThreads;
-    if (!req.warmStart.empty()) {
-        auto mode = warmStartModeFromName(req.warmStart);
-        expect(mode.has_value(), "unknown warm_start mode '",
-               req.warmStart, "' (off|neighbors|model|both)");
-        options.warmStart.mode = *mode;
-        if (options.warmStart.mode != WarmStartMode::Off)
-            options.warmStart.patience = kWarmStartPatience;
-    }
+    options.warmStart.mode = mode;
+    if (mode != WarmStartMode::Off)
+        options.warmStart.patience = kWarmStartPatience;
     return options;
+}
+
+TuneOptions
+tuneOptionsFromRequest(const CompileRequest &req)
+{
+    return tuneOptionsFromRequest(req, req.warmMode());
 }
 
 Json

@@ -3,7 +3,10 @@
  * Wire protocol of the compilation service: newline-delimited JSON
  * request and response objects, plus the translation from a request
  * to the compiler inputs (TensorComputation, HardwareSpec,
- * TuneOptions) it describes.
+ * TuneOptions) it describes and to the cache key of the artifact it
+ * names (serveCacheKey, the one key builder). Lines reach a
+ * CompileRequest through the one dispatcher in server.cc, which both
+ * the live stream and trace replay use.
  *
  * Request (one JSON object per line):
  *
@@ -42,6 +45,7 @@
 #include <string>
 
 #include "amos/amos.hh"
+#include "explore/warm_start.hh"
 #include "support/json.hh"
 
 namespace amos {
@@ -122,10 +126,16 @@ struct CompileRequest
                      std::int64_t fallback) const;
 
     /**
-     * Identity of the exploration this request names: hardware,
-     * operator shape, and the tune options that change the search
-     * outcome. Two requests with equal keys coalesce and share
-     * cache entries.
+     * The warm-start mode this request names, or `fallback` when it
+     * names none. Raises fatal() on an unknown mode name.
+     */
+    WarmStartMode warmMode(
+        WarmStartMode fallback = WarmStartMode::Off) const;
+
+    /**
+     * serveCacheKey() of this request on a server with no default
+     * warm-start mode and no model snapshot: the request's own mode
+     * (off when absent) and no `-m<digest8>` suffix.
      */
     std::string cacheKey() const;
 
@@ -140,7 +150,33 @@ TensorComputation computationFromRequest(const CompileRequest &req);
 /** Resolve the hardware target (fatal on bad name). */
 HardwareSpec hardwareFromRequest(const CompileRequest &req);
 
-/** Tune options carrying the request's search knobs. */
+/**
+ * A correlation field ("id", "trace_id") as it is echoed: a JSON
+ * string verbatim, any other value as its compact dump (7 -> "7").
+ */
+std::string correlationId(const Json &value);
+
+/**
+ * Identity of the exploration a request names: hardware, operator
+ * shape, the search knobs (generations, seed) and the effective
+ * warm-start inputs, which steer the search: `mode` once resolved
+ * against the server default, and for the model modes the digest of
+ * `model` (may be null). Two requests with equal keys coalesce and
+ * share cache entries. Off keeps the historical key.
+ */
+std::string serveCacheKey(const TensorComputation &comp,
+                          const HardwareSpec &hw,
+                          const CompileRequest &req, WarmStartMode mode,
+                          const LearnedModel *model);
+
+/**
+ * Tune options carrying the request's search knobs, warm-started in
+ * `mode` (a warm mode also gets the early-stop patience).
+ */
+TuneOptions tuneOptionsFromRequest(const CompileRequest &req,
+                                   WarmStartMode mode);
+
+/** tuneOptionsFromRequest() in the request's own warm-start mode. */
 TuneOptions tuneOptionsFromRequest(const CompileRequest &req);
 
 /**

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "support/logging.hh"
@@ -54,25 +55,16 @@ protocolError(const std::string &id, const std::string &message)
     return out;
 }
 
-bool
-isControlVerb(const std::string &type)
-{
-    return type == "stats" || type == "metrics" ||
-           type == "healthz" || type == "slowlog" ||
-           type == "flightdump" || type == "reload_model";
-}
-
 /**
- * Answer one of the side-channel verbs shared by the live stream
- * and trace replay: "stats" (JSON counters), "metrics" (Prometheus
- * text exposition carried in "body"), "healthz" (liveness + drain
- * state), "slowlog" (retained postmortems, optional "limit"
- * parameter), "flightdump" (write the flight rings to "path"),
- * "reload_model" (hot-swap the warm-start model snapshot from
- * "path"). `request` is the parsed request line, for verb
- * parameters.
+ * Answer a side-channel verb: "stats" (JSON counters), "metrics"
+ * (Prometheus text exposition carried in "body"), "healthz"
+ * (liveness + drain state), "slowlog" (retained postmortems,
+ * optional "limit" parameter), "flightdump" (write the flight rings
+ * to "path"), "reload_model" (hot-swap the warm-start model snapshot
+ * from "path"). `request` is the parsed request line, for verb
+ * parameters. nullopt when `type` names no control verb.
  */
-Json
+std::optional<Json>
 controlResponse(CompileService &service, const std::string &type,
                 const std::string &id, const Json &request)
 {
@@ -111,13 +103,72 @@ controlResponse(CompileService &service, const std::string &type,
         bool ok = result.has("ok") && result.get("ok").asBool();
         response.set("ok", Json(ok));
         response.set("reload_model", std::move(result));
-    } else { // healthz
+    } else if (type == "healthz") {
         bool draining = service.draining();
         response.set("status",
                      Json(draining ? "draining" : "serving"));
         response.set("draining", Json(draining));
+    } else {
+        return std::nullopt;
     }
     return response;
+}
+
+/** What a request line leaves for its loop to do. */
+enum class Dispatch
+{
+    Answered, ///< a control verb, answered
+    Rejected, ///< answered with a typed bad_request
+    Compile,  ///< a decoded compile request, for the loop to serve
+    Shutdown, ///< the "shutdown" verb
+};
+
+/**
+ * The request front end of both loops: bound the line, parse it,
+ * decode "id" and "type", answer control verbs and protocol errors
+ * on `writer`, and decode a compile into `req`. What stays with
+ * each loop is where lines come from, how a compile is answered,
+ * what "shutdown" does, and what it counts.
+ */
+Dispatch
+dispatchLine(CompileService &service, const std::string &line,
+             LineWriter &writer, CompileRequest &req)
+{
+    if (line.size() > kMaxRequestBytes) {
+        writer.write(protocolError(
+            "", "request line of " + std::to_string(line.size()) +
+                    " bytes exceeds the " +
+                    std::to_string(kMaxRequestBytes) + "-byte bound"));
+        return Dispatch::Rejected;
+    }
+    std::string id;
+    try {
+        Json request = Json::parse(line);
+        expect(request.kind() == Json::Kind::Object,
+               "request: expected a JSON object");
+        if (request.has("id"))
+            id = correlationId(request.get("id"));
+        std::string type = request.has("type")
+                               ? request.get("type").asString()
+                               : "compile";
+        if (type == "shutdown")
+            return Dispatch::Shutdown;
+        if (type == "compile") {
+            req = CompileRequest::fromJson(request);
+            return Dispatch::Compile;
+        }
+        auto response = controlResponse(service, type, id, request);
+        if (!response) {
+            writer.write(protocolError(
+                id, "unknown request type '" + type + "'"));
+            return Dispatch::Rejected;
+        }
+        writer.write(*response);
+        return Dispatch::Answered;
+    } catch (const std::exception &e) {
+        writer.write(protocolError(id, e.what()));
+        return Dispatch::Rejected;
+    }
 }
 
 } // namespace
@@ -138,60 +189,14 @@ serveStream(CompileService &service, std::istream &in,
            std::getline(in, line)) {
         if (line.empty())
             continue;
-        if (line.size() > kMaxRequestBytes) {
-            ++protocol_errors;
-            writer.write(protocolError(
-                "", "request line of " +
-                        std::to_string(line.size()) +
-                        " bytes exceeds the " +
-                        std::to_string(kMaxRequestBytes) +
-                        "-byte bound"));
-            continue;
-        }
-
-        Json request;
-        std::string type;
-        std::string id;
-        try {
-            request = Json::parse(line);
-            expect(request.kind() == Json::Kind::Object,
-                   "request: expected a JSON object");
-            if (request.has("id"))
-                id = request.get("id").kind() ==
-                             Json::Kind::String
-                         ? request.get("id").asString()
-                         : request.get("id").dump();
-            type = request.has("type")
-                       ? request.get("type").asString()
-                       : "compile";
-        } catch (const std::exception &e) {
-            ++protocol_errors;
-            writer.write(protocolError(id, e.what()));
-            continue;
-        }
-
-        if (type == "shutdown")
-            break;
-        if (isControlVerb(type)) {
-            writer.write(
-                controlResponse(service, type, id, request));
-            continue;
-        }
-        if (type != "compile") {
-            ++protocol_errors;
-            writer.write(protocolError(
-                id, "unknown request type '" + type + "'"));
-            continue;
-        }
-
         CompileRequest req;
-        try {
-            req = CompileRequest::fromJson(request);
-        } catch (const std::exception &e) {
+        Dispatch what = dispatchLine(service, line, writer, req);
+        if (what == Dispatch::Shutdown)
+            break;
+        if (what == Dispatch::Rejected)
             ++protocol_errors;
-            writer.write(protocolError(id, e.what()));
+        if (what != Dispatch::Compile)
             continue;
-        }
 
         auto ticket = service.submit(req);
         pending.push_back(responders.submit(
@@ -234,44 +239,13 @@ replayTrace(CompileService &service, const std::string &path,
     while (std::getline(trace, line)) {
         if (line.empty() || line[0] == '#')
             continue;
-        if (line.size() > kMaxRequestBytes) {
-            ++failed;
-            writer.write(protocolError(
-                "", "request line of " +
-                        std::to_string(line.size()) +
-                        " bytes exceeds the " +
-                        std::to_string(kMaxRequestBytes) +
-                        "-byte bound"));
-            continue;
-        }
+        // Replay drains at end-of-trace anyway: "shutdown" is a no-op.
         CompileRequest req;
-        try {
-            Json request = Json::parse(line);
-            expect(request.kind() == Json::Kind::Object,
-                   "request: expected a JSON object");
-            std::string type =
-                request.has("type")
-                    ? request.get("type").asString()
-                    : "compile";
-            if (isControlVerb(type)) {
-                std::string id;
-                if (request.has("id"))
-                    id = request.get("id").kind() ==
-                                 Json::Kind::String
-                             ? request.get("id").asString()
-                             : request.get("id").dump();
-                writer.write(
-                    controlResponse(service, type, id, request));
-                continue;
-            }
-            if (type == "shutdown")
-                continue; // replay drains at end-of-trace anyway
-            req = CompileRequest::fromJson(request);
-        } catch (const std::exception &e) {
+        Dispatch what = dispatchLine(service, line, writer, req);
+        if (what == Dispatch::Rejected)
             ++failed;
-            writer.write(protocolError("", e.what()));
+        if (what != Dispatch::Compile)
             continue;
-        }
         auto outcome = service.serve(req);
         if (!outcome.ok)
             ++failed;

@@ -395,33 +395,15 @@ CompileService::submit(const CompileRequest &req)
     std::optional<TensorComputation> comp;
     HardwareSpec spec;
     std::string key;
-    WarmStartMode warm_mode = _options.warmStart;
+    WarmStartMode warm_mode = WarmStartMode::Off;
     std::shared_ptr<const LearnedModel> model;
     try {
         comp = computationFromRequest(req);
         spec = hardwareFromRequest(req);
-        if (!req.warmStart.empty()) {
-            auto parsed = warmStartModeFromName(req.warmStart);
-            expect(parsed.has_value(),
-                   "unknown warm_start mode '", req.warmStart,
-                   "' (off|neighbors|model|both)");
-            warm_mode = *parsed;
-        }
+        warm_mode = req.warmMode(_options.warmStart);
         if (warmStartUsesModel(warm_mode))
             model = modelSnapshot();
-        std::ostringstream k;
-        k << TuningCache::keyFor(*comp, spec) << "/g"
-          << req.generations << "_s" << req.seed;
-        // The effective warm-start inputs steer the search, so they
-        // join the key: the mode, and (for model modes) the snapshot
-        // content digest. Off keeps the historical key so persisted
-        // caches stay valid.
-        if (warm_mode != WarmStartMode::Off) {
-            k << "/w" << warmStartModeName(warm_mode);
-            if (model)
-                k << "-m" << model->digest().substr(0, 8);
-        }
-        key = k.str();
+        key = serveCacheKey(*comp, spec, req, warm_mode, model.get());
     } catch (const std::exception &e) {
         ServeOutcome outcome;
         outcome.error = ErrorCode::BadRequest;
@@ -543,12 +525,9 @@ CompileService::runJob(std::shared_ptr<Job> job)
             // starts.
             job->token.checkpoint("queued request");
             TuneOptions options =
-                tuneOptionsFromRequest(job->request);
+                tuneOptionsFromRequest(job->request, job->warmMode);
             options.cancel = &job->token;
-            options.warmStart.mode = job->warmMode;
             options.warmStart.model = job->model;
-            if (job->warmMode != WarmStartMode::Off)
-                options.warmStart.patience = kWarmStartPatience;
             if (warmStartUsesNeighbors(job->warmMode)) {
                 // Donor scan over a snapshot copy: one lock
                 // acquisition to copy the memory tier, then all

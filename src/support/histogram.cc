@@ -234,12 +234,6 @@ SlidingWindowHistogram::windowCountAt(double atSeconds) const
 }
 
 double
-SlidingWindowHistogram::windowMeanMs() const
-{
-    return windowMeanMsAt(nowSeconds());
-}
-
-double
 SlidingWindowHistogram::windowMeanMsAt(double atSeconds) const
 {
     std::lock_guard<std::mutex> lock(_mutex);

@@ -117,7 +117,6 @@ class SlidingWindowHistogram
     std::uint64_t windowCountAt(double atSeconds) const;
 
     /** Mean of windowed samples (0 when the window is empty). */
-    double windowMeanMs() const;
     double windowMeanMsAt(double atSeconds) const;
 
     /** Windowed quantile, same estimator as LatencyHistogram. */

@@ -21,6 +21,7 @@
 #include "mapping/generate.hh"
 #include "ops/conv_layers.hh"
 #include "sim/simulator.hh"
+#include "support/str_utils.hh"
 
 namespace amos {
 namespace {
@@ -275,6 +276,16 @@ TEST(Snapshot, DigestSeparatesDifferentFits)
     EXPECT_EQ(a.digest().size(), 16u);
     EXPECT_EQ(a.digest(), trainedModel(60, 31).digest());
     EXPECT_NE(a.digest(), b.digest());
+}
+
+TEST(Snapshot, DigestIsTheSharedHashOfTheSnapshotJson)
+{
+    // The digest names a snapshot in warm-start cache keys
+    // (-m<digest8>) with the FNV-1a the disk tier names files by.
+    auto model = trainedModel(60, 31);
+    EXPECT_EQ(model.digest(), hexKey(fnv1a(model.toJson().dump())));
+    // The standard FNV-1a 64-bit offset basis.
+    EXPECT_EQ(hexKey(fnv1a("")), "cbf29ce484222325");
 }
 
 TEST(LearnedModel, TunerIntegrationFindsComparableResults)

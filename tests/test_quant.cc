@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for the quantized / mixed-precision subsystem
- * (src/quant): bf16 conversion goldens, affine quantization and
- * requantization, dtype legality, semantics classification, the
- * tolerance-aware comparator, and the typed Buffer storage lanes.
+ * (src/quant): bf16 conversion goldens, dtype legality, semantics
+ * classification, the tolerance-aware comparator, and the typed
+ * Buffer storage lanes.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "quant/bf16.hh"
 #include "quant/compare.hh"
 #include "quant/legality.hh"
-#include "quant/qparams.hh"
 #include "quant/semantics.hh"
 #include "isa/intrinsics.hh"
 #include "ops/operators.hh"
@@ -97,80 +96,6 @@ TEST(Bf16, RoundTripErrorWithinHalfUlp)
         const float r = quant::bf16Round(x);
         EXPECT_LE(std::abs(x - r), std::abs(x) * 0x1p-8f) << x;
     }
-}
-
-// ---------------------------------------------------------------
-// Affine quantization parameters and requantization.
-// ---------------------------------------------------------------
-
-TEST(QuantParams, SymmetricInt8CoversRange)
-{
-    auto qp = quant::chooseQuantParams(-4.0f, 2.0f, DataType::I8);
-    EXPECT_EQ(qp.zeroPoint, 0); // symmetric for signed
-    // Max magnitude 4.0 maps within [-127, 127].
-    const std::int64_t q = quant::quantizeValue(-4.0f, qp,
-                                                DataType::I8);
-    EXPECT_GE(q, -128);
-    const float back = quant::dequantizeValue(q, qp);
-    EXPECT_NEAR(back, -4.0f, qp.scale);
-}
-
-TEST(QuantParams, AsymmetricUint8RoundTrips)
-{
-    auto qp = quant::chooseQuantParams(-1.0f, 3.0f, DataType::U8);
-    for (float v : {-1.0f, -0.5f, 0.0f, 1.0f, 2.9f, 3.0f}) {
-        const std::int64_t q = quant::quantizeValue(v, qp,
-                                                    DataType::U8);
-        EXPECT_GE(q, 0);
-        EXPECT_LE(q, 255);
-        EXPECT_NEAR(quant::dequantizeValue(q, qp), v, qp.scale);
-    }
-    // Zero must be exactly representable (the whole point of the
-    // asymmetric zero point).
-    const std::int64_t zq = quant::quantizeValue(0.0f, qp,
-                                                 DataType::U8);
-    EXPECT_EQ(quant::dequantizeValue(zq, qp), 0.0f);
-}
-
-TEST(QuantParams, QuantizeSaturates)
-{
-    quant::QuantParams qp{1.0f, 0};
-    EXPECT_EQ(quant::quantizeValue(1000.0f, qp, DataType::I8), 127);
-    EXPECT_EQ(quant::quantizeValue(-1000.0f, qp, DataType::I8),
-              -128);
-    EXPECT_EQ(quant::quantizeValue(-5.0f, qp, DataType::U8), 0);
-    EXPECT_EQ(quant::quantizeValue(300.0f, qp, DataType::U8), 255);
-}
-
-TEST(Requantize, GoldensAndClamping)
-{
-    // acc * scale + zp, round half away from zero, clamp to int8.
-    EXPECT_EQ(quant::requantize(100, 0.5f, 0), 50);
-    EXPECT_EQ(quant::requantize(5, 0.5f, 0), 3);    // 2.5 -> 3
-    EXPECT_EQ(quant::requantize(-5, 0.5f, 0), -3);  // -2.5 -> -3
-    EXPECT_EQ(quant::requantize(100, 0.5f, 10), 60);
-    EXPECT_EQ(quant::requantize(1000, 1.0f, 0), 127);   // clamp hi
-    EXPECT_EQ(quant::requantize(-1000, 1.0f, 0), -128); // clamp lo
-    EXPECT_EQ(quant::requantize(0, 123.0f, 7), 7);
-}
-
-TEST(QuantParams, BufferRoundTripStaysWithinScale)
-{
-    TensorDecl fdecl("x", {16});
-    Buffer src(fdecl);
-    src.fillPattern(3);
-    float lo = 0.0f, hi = 0.0f;
-    for (std::size_t i = 0; i < src.size(); ++i) {
-        lo = std::min(lo, src.at(i));
-        hi = std::max(hi, src.at(i));
-    }
-    auto qp = quant::chooseQuantParams(lo, hi, DataType::I8);
-    Buffer q(fdecl.withDtype(DataType::I8));
-    quant::quantizeBuffer(src, qp, q);
-    Buffer back(fdecl.withDtype(DataType::F32));
-    quant::dequantizeBuffer(q, qp, back);
-    for (std::size_t i = 0; i < src.size(); ++i)
-        EXPECT_NEAR(back.at(i), src.at(i), qp.scale) << i;
 }
 
 // ---------------------------------------------------------------

@@ -914,6 +914,172 @@ TEST(Server, ReplayTraceRejectsOversizedAndMalformedLines)
     std::filesystem::remove_all(dir);
 }
 
+/** Response lines of `out`, parsed. */
+std::vector<Json>
+responseLines(const std::string &out)
+{
+    std::vector<Json> lines;
+    std::istringstream in(out);
+    std::string line;
+    while (std::getline(in, line))
+        lines.push_back(Json::parse(line));
+    return lines;
+}
+
+/** `lines` through serveStream (ending in "shutdown"). */
+std::vector<Json>
+streamLines(CompileService &service, const std::vector<std::string> &lines)
+{
+    std::string text;
+    for (const auto &line : lines)
+        text += line + "\n";
+    std::istringstream in(text + "{\"type\":\"shutdown\"}\n");
+    std::ostringstream out;
+    serveStream(service, in, out);
+    return responseLines(out.str());
+}
+
+/** `lines` through replayTrace, final stats line dropped. */
+std::vector<Json>
+replayLines(CompileService &service, const std::string &dir,
+            const std::vector<std::string> &lines, int *failed)
+{
+    std::string trace_path = dir + "/trace.ndjson";
+    {
+        std::ofstream trace(trace_path);
+        for (const auto &line : lines)
+            trace << line << "\n";
+    }
+    std::ostringstream out;
+    *failed = replayTrace(service, trace_path, out);
+    auto responses = responseLines(out.str());
+    EXPECT_TRUE(responses.back().has("stats"));
+    responses.pop_back();
+    return responses;
+}
+
+TEST(Server, MalformedCompileLineKeepsItsIdInBothLoops)
+{
+    // Well-formed JSON whose compile fields are bad: the id was
+    // readable, so the bad_request echoes it whichever loop read it.
+    const std::string bad =
+        R"({"type":"compile","id":"x","op":"gemm","m":64,"n":64,)"
+        R"("k":64,"hw":"v100","generations":0})";
+    auto dir = freshDiskDir("malformed_id");
+    ServeOptions options;
+    options.workers = 1;
+
+    CompileService streamed(options);
+    auto live = streamLines(streamed, {bad});
+    CompileService replayed(options);
+    int failed = 0;
+    auto replay = replayLines(replayed, dir, {bad}, &failed);
+    EXPECT_EQ(failed, 1);
+
+    for (const auto *lines : {&live, &replay}) {
+        ASSERT_EQ(lines->size(), 1u);
+        const Json &response = lines->front();
+        EXPECT_EQ(response.get("id").asString(), "x");
+        EXPECT_FALSE(response.get("ok").asBool());
+        EXPECT_EQ(response.get("error").get("code").asString(),
+                  "bad_request");
+    }
+    EXPECT_EQ(live.front().dump(), replay.front().dump());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Server, BothLoopsAnswerEveryNonCompileLineAlike)
+{
+    // Everything but a compile is answered by the shared dispatcher
+    // on the reading thread, so both loops write the same bytes.
+    const std::vector<std::string> lines = {
+        "not json",
+        "[1,2]",
+        R"({"type":7,"id":"t"})",
+        R"({"type":"warp_speed","id":"u"})",
+        R"({"id":7,"op":"gemm","m":"wide"})",
+        R"({"type":"compile","id":"w","warm_start":"banana"})",
+        R"({"type":"slowlog","id":"l","limit":"many"})",
+        R"({"type":"flightdump","id":"f"})",
+        R"({"type":"healthz","id":{"n":1}})",
+    };
+    auto dir = freshDiskDir("dispatch_alike");
+    ServeOptions options;
+    options.workers = 1;
+    CompileService streamed(options);
+    auto live = streamLines(streamed, lines);
+    CompileService replayed(options);
+    int failed = 0;
+    auto replay = replayLines(replayed, dir, lines, &failed);
+
+    ASSERT_EQ(live.size(), lines.size());
+    ASSERT_EQ(replay.size(), lines.size());
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        EXPECT_EQ(live[i].dump(), replay[i].dump()) << lines[i];
+    // A numeric or object id echoes as its compact JSON text.
+    EXPECT_EQ(live[4].get("id").asString(), "7");
+    EXPECT_EQ(live[8].get("id").asString(), "{\"n\":1}");
+    EXPECT_EQ(live[3].get("error").get("message").asString(),
+              "unknown request type 'warp_speed'");
+    // A bad control-verb parameter is a bad_request, not a crash.
+    EXPECT_EQ(live[6].get("id").asString(), "l");
+    EXPECT_EQ(live[6].get("error").get("code").asString(),
+              "bad_request");
+    // The verbs' own structured answers are not failures; every
+    // other line is one.
+    EXPECT_EQ(failed, 7);
+    EXPECT_EQ(streamed.stats().requests, 0u);
+    EXPECT_EQ(replayed.stats().requests, 0u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Server, ShutdownStopsTheStreamButNotTheReplay)
+{
+    const std::string compile =
+        R"({"type":"compile","id":"c","op":"gemm","m":64,"n":64,)"
+        R"("k":64,"hw":"v100","generations":2})";
+    auto dir = freshDiskDir("shutdown_policy");
+    ServeOptions options;
+    options.workers = 1;
+
+    CompileService streamed(options);
+    auto live = streamLines(streamed, {R"({"type":"shutdown"})", compile});
+    EXPECT_TRUE(live.empty());
+    EXPECT_EQ(streamed.stats().requests, 0u);
+
+    CompileService replayed(options);
+    int failed = 0;
+    auto replay = replayLines(
+        replayed, dir, {"# comment", R"({"type":"shutdown"})", compile},
+        &failed);
+    EXPECT_EQ(failed, 0);
+    ASSERT_EQ(replay.size(), 1u);
+    EXPECT_EQ(replay[0].get("id").asString(), "c");
+    EXPECT_TRUE(replay[0].get("ok").asBool());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Protocol, CacheKeyIsTheSharedKeyWithNoServerDefaults)
+{
+    for (const char *mode : {"", "off", "neighbors", "model", "both"}) {
+        auto req = fastRequest();
+        req.warmStart = mode;
+        EXPECT_EQ(req.cacheKey(),
+                  serveCacheKey(computationFromRequest(req),
+                                hardwareFromRequest(req), req,
+                                req.warmMode(), nullptr))
+            << mode;
+    }
+    auto warm = fastRequest();
+    warm.warmStart = "neighbors";
+    EXPECT_EQ(warm.warmMode(WarmStartMode::Model),
+              WarmStartMode::Neighbors);
+    EXPECT_EQ(fastRequest().warmMode(WarmStartMode::Model),
+              WarmStartMode::Model);
+    warm.warmStart = "banana";
+    EXPECT_THROW(warm.warmMode(), FatalError);
+}
+
 TEST(Protocol, ExplainFlagRoundTripsOutsideTheCacheKey)
 {
     auto req = fastRequest();
@@ -1632,6 +1798,52 @@ TEST(Service, PreloadsModelSnapshotOnStart)
     CompileService fallback(degraded);
     EXPECT_EQ(fallback.modelSnapshot(), nullptr);
     EXPECT_TRUE(fallback.serve(fastRequest()).ok);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Service, CompileSpanKeyIsTheSharedCacheKey)
+{
+    auto dir = freshDiskDir("span_key");
+    ServeOptions options;
+    options.workers = 1;
+    options.modelSnapshotPath = writeSnapshot(dir);
+    CompileService service(options);
+    auto model = service.modelSnapshot();
+    ASSERT_NE(model, nullptr);
+
+    // The key the service stores under, as its serve.compile span
+    // records it.
+    auto compiledKey = [&service](CompileRequest req) {
+        req.traceId = "span-key";
+        auto outcome = service.serve(req);
+        EXPECT_TRUE(outcome.ok);
+        EXPECT_EQ(outcome.servedBy, "compile");
+        if (outcome.trace.isNull())
+            return std::string();
+        const Json &root = outcome.trace.get("spans").at(0);
+        EXPECT_EQ(root.get("name").asString(), "serve.compile");
+        return root.get("args").get("key").asString();
+    };
+
+    auto plain = fastRequest();
+    auto plain_key = compiledKey(plain);
+    EXPECT_EQ(plain_key, serveCacheKey(computationFromRequest(plain),
+                                       hardwareFromRequest(plain), plain,
+                                       WarmStartMode::Off, nullptr));
+    EXPECT_EQ(plain_key, plain.cacheKey());
+
+    auto warm = fastRequest();
+    warm.warmStart = "model";
+    auto warm_key = compiledKey(warm);
+    EXPECT_EQ(warm_key, serveCacheKey(computationFromRequest(warm),
+                                      hardwareFromRequest(warm), warm,
+                                      WarmStartMode::Model, model.get()));
+    EXPECT_NE(warm_key.find("/wmodel-m" + model->digest().substr(0, 8)),
+              std::string::npos)
+        << warm_key;
+    // cacheKey() is the key of a server with no snapshot loaded.
+    EXPECT_EQ(warm.cacheKey() + "-m" + model->digest().substr(0, 8),
+              warm_key);
     std::filesystem::remove_all(dir);
 }
 
