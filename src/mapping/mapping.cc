@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ir/affine.hh"
 #include "quant/legality.hh"
 #include "support/logging.hh"
 #include "support/math_utils.hh"
@@ -178,6 +179,7 @@ MappingPlan::buildOperands()
 {
     const auto &compute = _intr.compute;
     auto build = [this, &compute](const IntrinsicOperand &intr_op,
+                                  const TensorDecl &decl,
                                   const std::vector<Expr> &sw_indices,
                                   bool is_output, int input_index) {
         OperandInfo info;
@@ -234,13 +236,71 @@ MappingPlan::buildOperands()
             scale *= axis.extent;
         }
         info.baseAddress = base;
+        info.contiguousRun =
+            contiguousRunOf(decl, sw_indices, info.intrinsicIters);
         _operands.push_back(std::move(info));
     };
 
     for (std::size_t m = 0; m < compute.numSrcs(); ++m)
-        build(compute.srcs()[m], _comp.inputs()[m].indices, false,
-              static_cast<int>(m));
-    build(compute.dst(), _comp.outputIndices(), true, -1);
+        build(compute.srcs()[m], _comp.inputs()[m].decl,
+              _comp.inputs()[m].indices, false, static_cast<int>(m));
+    build(compute.dst(), _comp.output(), _comp.outputIndices(), true,
+          -1);
+}
+
+/**
+ * Greedily chain the tile's software iterators by ascending stride
+ * in the operand's flattened row-major layout, extending the run
+ * whenever an iterator's stride equals the run built so far. A
+ * stride is the sum over tensor dimensions of the iterator's affine
+ * coefficient times the dimension stride, so each index is put in
+ * affine form once per operand, not once per iterator.
+ */
+std::int64_t
+MappingPlan::contiguousRunOf(
+    const TensorDecl &decl, const std::vector<Expr> &indices,
+    const std::vector<std::size_t> &intrinsic_iters) const
+{
+    std::vector<AffineForm> forms;
+    forms.reserve(indices.size());
+    for (const auto &idx : indices) {
+        auto form = tryToAffine(idx);
+        if (!form)
+            return 0;
+        forms.push_back(std::move(*form));
+    }
+    auto dim_strides = decl.strides();
+
+    // (stride, extent) of every iterator fused into the tile.
+    std::vector<std::pair<std::int64_t, std::int64_t>> dims;
+    for (auto k : intrinsic_iters) {
+        for (auto s : _groups[k].members) {
+            const VarNode *var = _comp.iters()[s].var.node();
+            std::int64_t stride = 0;
+            for (std::size_t d = 0; d < forms.size(); ++d)
+                stride += forms[d].coeffOf(var) * dim_strides[d];
+            if (stride != 0)
+                dims.push_back({stride < 0 ? -stride : stride,
+                                _comp.iters()[s].extent});
+        }
+    }
+    // Ascending stride; among equal strides prefer the largest
+    // extent (overlapping iterators cover the same addresses).
+    std::sort(dims.begin(), dims.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first != b.first ? a.first < b.first
+                                            : a.second > b.second;
+              });
+    std::int64_t run = 1;
+    for (const auto &[stride, extent] : dims) {
+        if (stride == run)
+            run *= extent;
+        else if (stride > run)
+            break;
+        // stride < run: a redundant iterator that overlaps the run
+        // already built; skip it.
+    }
+    return run;
 }
 
 Expr

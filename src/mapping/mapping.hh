@@ -114,6 +114,11 @@ class MappingPlan
         std::int64_t numTiles = 1;
         /// Base-address expression over software iterators (Fig. 3h).
         Expr baseAddress;
+        /// Longest contiguous run (in elements) a staging loop can
+        /// read when gathering one tile from the operand's row-major
+        /// software layout; 0 when an access index is not affine
+        /// (lowerKernel refuses such an operand).
+        std::int64_t contiguousRun = 1;
     };
 
     /**
@@ -180,6 +185,9 @@ class MappingPlan
     void buildGroups();
     void buildOuterAxes();
     void buildOperands();
+    std::int64_t contiguousRunOf(
+        const TensorDecl &decl, const std::vector<Expr> &indices,
+        const std::vector<std::size_t> &intrinsic_iters) const;
     Expr fusedFlatExpr(const GroupInfo &group) const;
 
     TensorComputation _comp;

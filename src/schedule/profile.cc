@@ -2,82 +2,12 @@
 
 #include <algorithm>
 
-#include "ir/affine.hh"
 #include "support/logging.hh"
 #include "support/math_utils.hh"
 #include "support/str_utils.hh"
 #include "support/trace.hh"
 
 namespace amos {
-
-namespace {
-
-/**
- * Stride (in elements) of one software iterator within an operand's
- * flattened row-major layout: the sum over tensor dimensions of the
- * iterator's affine coefficient times the dimension stride.
- */
-std::int64_t
-softwareStrideOf(const TensorDecl &decl,
-                 const std::vector<Expr> &indices, const VarNode *var)
-{
-    auto dim_strides = decl.strides();
-    std::int64_t total = 0;
-    for (std::size_t d = 0; d < indices.size(); ++d) {
-        auto form = tryToAffine(indices[d]);
-        require(form.has_value(),
-                "softwareStrideOf: non-affine access on ",
-                decl.name());
-        total += form->coeffOf(var) * dim_strides[d];
-    }
-    return total < 0 ? -total : total;
-}
-
-/**
- * Longest contiguous run (in elements) a staging loop can achieve
- * when gathering one tile of the operand from its software layout:
- * greedily chain the tile's iterators by ascending software stride,
- * extending the run whenever an iterator's stride equals the run
- * built so far.
- */
-std::int64_t
-contiguousRunOf(const MappingPlan &plan, const TensorDecl &decl,
-                const std::vector<Expr> &indices,
-                const MappingPlan::OperandInfo &op)
-{
-    const auto &comp = plan.computation();
-    // Collect (stride, extent) of every software iterator fused into
-    // the operand's intrinsic iterations.
-    std::vector<std::pair<std::int64_t, std::int64_t>> dims;
-    for (auto k : op.intrinsicIters) {
-        for (auto s : plan.groups()[k].members) {
-            const VarNode *var = comp.iters()[s].var.node();
-            std::int64_t stride =
-                softwareStrideOf(decl, indices, var);
-            if (stride > 0)
-                dims.push_back({stride, comp.iters()[s].extent});
-        }
-    }
-    // Ascending stride; among equal strides prefer the largest
-    // extent (overlapping iterators cover the same addresses).
-    std::sort(dims.begin(), dims.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first != b.first ? a.first < b.first
-                                            : a.second > b.second;
-              });
-    std::int64_t run = 1;
-    for (const auto &[stride, extent] : dims) {
-        if (stride == run)
-            run *= extent;
-        else if (stride > run)
-            break;
-        // stride < run: a redundant iterator that overlaps the run
-        // already built; skip it.
-    }
-    return run;
-}
-
-} // namespace
 
 std::string
 KernelProfile::toString() const
@@ -165,17 +95,9 @@ lowerKernel(const MappingPlan &plan, const Schedule &sched,
                                     group.intrinsicExtent);
         }
 
-        {
-            const auto &comp = plan.computation();
-            if (op.isOutput) {
-                oprof.contiguousRun = contiguousRunOf(
-                    plan, comp.output(), comp.outputIndices(), op);
-            } else {
-                const auto &in = comp.inputs()[op.inputIndex];
-                oprof.contiguousRun =
-                    contiguousRunOf(plan, in.decl, in.indices, op);
-            }
-        }
+        require(op.contiguousRun > 0,
+                "lowerKernel: non-affine access on operand ", op.name);
+        oprof.contiguousRun = op.contiguousRun;
 
         if (op.isOutput) {
             // Accumulator tiles live in registers for the whole

@@ -90,27 +90,28 @@ CompileRequest::fromJson(const Json &json)
     CompileRequest req;
     for (const auto &[key, value] : json.entries()) {
         if (key == "type") {
-            expect(value.asString() == "compile",
-                   "request: type must be 'compile', got '",
-                   value.asString(), "'");
+            const auto &type = stringField(key, value);
+            expect(type == "compile",
+                   "request: type must be 'compile', got '", type,
+                   "'");
         } else if (key == "id") {
             req.id = correlationId(value);
         } else if (key == "op") {
-            req.op = value.asString();
+            req.op = stringField(key, value);
         } else if (key == "hw") {
-            req.hw = value.asString();
+            req.hw = stringField(key, value);
         } else if (key == "dtype") {
-            req.dtype = value.asString();
+            req.dtype = stringField(key, value);
         } else if (key == "generations") {
-            req.generations = static_cast<int>(value.asInt());
+            req.generations = static_cast<int>(intField(key, value));
             expect(req.generations >= 1,
                    "request: generations must be >= 1");
         } else if (key == "seed") {
-            req.seed = static_cast<std::uint64_t>(value.asInt());
+            req.seed = static_cast<std::uint64_t>(intField(key, value));
         } else if (key == "threads") {
-            req.numThreads = static_cast<int>(value.asInt());
+            req.numThreads = static_cast<int>(intField(key, value));
         } else if (key == "deadline_ms") {
-            req.deadlineMs = value.asNumber();
+            req.deadlineMs = numberField(key, value);
             expect(req.deadlineMs >= 0,
                    "request: deadline_ms must be >= 0");
         } else if (key == "trace_id") {
@@ -118,14 +119,13 @@ CompileRequest::fromJson(const Json &json)
         } else if (key == "explain") {
             req.explain = value.kind() == Json::Kind::Bool
                               ? value.asBool()
-                              : value.asInt() != 0;
+                              : intField(key, value) != 0;
         } else if (key == "warm_start") {
-            req.warmStart = value.asString();
+            req.warmStart = stringField(key, value);
             req.warmMode(); // an unknown mode is a bad request
         } else {
-            expect(value.kind() == Json::Kind::Number,
-                   "request: unknown non-numeric field '", key, "'");
-            req.dims[key] = value.asInt();
+            // Every other field is a dimension knob.
+            req.dims[key] = intField(key, value);
         }
     }
     return req;
@@ -208,6 +208,29 @@ HardwareSpec
 hardwareFromRequest(const CompileRequest &req)
 {
     return hw::byName(req.hw);
+}
+
+double
+numberField(const std::string &field, const Json &value)
+{
+    expect(value.kind() == Json::Kind::Number, "request: field '",
+           field, "' must be a number");
+    return value.asNumber();
+}
+
+std::int64_t
+intField(const std::string &field, const Json &value)
+{
+    numberField(field, value);
+    return value.asInt();
+}
+
+const std::string &
+stringField(const std::string &field, const Json &value)
+{
+    expect(value.kind() == Json::Kind::String, "request: field '",
+           field, "' must be a string");
+    return value.asString();
 }
 
 std::string

@@ -151,6 +151,20 @@ TensorComputation computationFromRequest(const CompileRequest &req);
 HardwareSpec hardwareFromRequest(const CompileRequest &req);
 
 /**
+ * @name Typed request fields.
+ * The value of request field `field` when it has the named JSON
+ * kind; fatal() naming the field otherwise ("request: field 'limit'
+ * must be a number"), so a wrongly typed field is a bad_request
+ * that says which field is wrong.
+ * @{
+ */
+double numberField(const std::string &field, const Json &value);
+std::int64_t intField(const std::string &field, const Json &value);
+const std::string &stringField(const std::string &field,
+                               const Json &value);
+/** @} */
+
+/**
  * A correlation field ("id", "trace_id") as it is echoed: a JSON
  * string verbatim, any other value as its compact dump (7 -> "7").
  */

@@ -83,14 +83,14 @@ controlResponse(CompileService &service, const std::string &type,
         if (request.has("limit"))
             limit = static_cast<std::size_t>(
                 std::max<std::int64_t>(
-                    0, request.get("limit").asInt()));
+                    0, intField("limit", request.get("limit"))));
         response.set("slowlog", service.slowlogJson(limit));
     } else if (type == "flightdump") {
         if (!request.has("path"))
             return protocolError(
                 id, "flightdump requires a \"path\" parameter");
-        Json result =
-            service.flightDump(request.get("path").asString());
+        Json result = service.flightDump(
+            stringField("path", request.get("path")));
         bool ok = result.has("ok") && result.get("ok").asBool();
         response.set("ok", Json(ok));
         response.set("flightdump", std::move(result));
@@ -98,8 +98,8 @@ controlResponse(CompileService &service, const std::string &type,
         if (!request.has("path"))
             return protocolError(
                 id, "reload_model requires a \"path\" parameter");
-        Json result =
-            service.reloadModel(request.get("path").asString());
+        Json result = service.reloadModel(
+            stringField("path", request.get("path")));
         bool ok = result.has("ok") && result.get("ok").asBool();
         response.set("ok", Json(ok));
         response.set("reload_model", std::move(result));
@@ -149,7 +149,8 @@ dispatchLine(CompileService &service, const std::string &line,
         if (request.has("id"))
             id = correlationId(request.get("id"));
         std::string type = request.has("type")
-                               ? request.get("type").asString()
+                               ? stringField("type",
+                                             request.get("type"))
                                : "compile";
         if (type == "shutdown")
             return Dispatch::Shutdown;

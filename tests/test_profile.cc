@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "hw/hardware.hh"
+#include "ir/affine.hh"
 #include "isa/intrinsics.hh"
 #include "mapping/generate.hh"
+#include "ops/conv_layers.hh"
 #include "ops/operators.hh"
 #include "schedule/profile.hh"
 
@@ -206,6 +211,137 @@ TEST(Profile, GatherMappingHasShortRun)
     auto prof = lowerKernel(plan, defaultSchedule(plan), hw::v100());
     EXPECT_EQ(prof.operands[0].contiguousRun, 8);
     EXPECT_EQ(prof.operands[1].contiguousRun, 1);
+}
+
+/**
+ * Reference contiguous run, computed member by member straight from
+ * the software layout: each fused iterator's stride re-derives the
+ * affine form of every index and the tensor's row-major strides.
+ * MappingPlan computes the same chain once per operand at build.
+ */
+std::int64_t
+referenceContiguousRun(const MappingPlan &plan,
+                       const MappingPlan::OperandInfo &op)
+{
+    const auto &comp = plan.computation();
+    const TensorDecl &decl = op.isOutput
+                                 ? comp.output()
+                                 : comp.inputs()[op.inputIndex].decl;
+    const auto &indices = op.isOutput
+                              ? comp.outputIndices()
+                              : comp.inputs()[op.inputIndex].indices;
+    auto strideOf = [&](const VarNode *var) {
+        auto dim_strides = decl.strides();
+        std::int64_t total = 0;
+        for (std::size_t d = 0; d < indices.size(); ++d)
+            total += tryToAffine(indices[d]).value().coeffOf(var) *
+                     dim_strides[d];
+        return total < 0 ? -total : total;
+    };
+    std::vector<std::pair<std::int64_t, std::int64_t>> dims;
+    for (auto k : op.intrinsicIters) {
+        for (auto s : plan.groups()[k].members) {
+            std::int64_t stride = strideOf(comp.iters()[s].var.node());
+            if (stride > 0)
+                dims.push_back({stride, comp.iters()[s].extent});
+        }
+    }
+    std::sort(dims.begin(), dims.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first != b.first ? a.first < b.first
+                                            : a.second > b.second;
+              });
+    std::int64_t run = 1;
+    for (const auto &[stride, extent] : dims) {
+        if (stride == run)
+            run *= extent;
+        else if (stride > run)
+            break;
+    }
+    return run;
+}
+
+/** Every plan the tuner would explore for comp on hw. */
+std::vector<MappingPlan>
+allPlans(const TensorComputation &comp, const HardwareSpec &hw)
+{
+    std::vector<MappingPlan> plans;
+    for (const auto &intr : hw.intrinsics) {
+        if (comp.inputs().size() != intr.compute.numSrcs() ||
+            comp.combine() != intr.compute.combine())
+            continue;
+        for (auto &plan : enumeratePlans(comp, intr))
+            plans.push_back(std::move(plan));
+    }
+    return plans;
+}
+
+TEST(Profile, PlanContiguousRunMatchesPerMemberReference)
+{
+    std::vector<std::pair<TensorComputation, HardwareSpec>> cases;
+    for (const auto &layer : ops::resnet18ConvLayers(16)) {
+        cases.push_back({layer.build(), hw::v100()});
+        cases.push_back({layer.build(), hw::a100()});
+    }
+    cases.push_back({ops::makeGemm(512, 512, 512), hw::v100()});
+    ops::ConvParams pr;
+    pr.batch = 1;
+    pr.in_channels = 64;
+    pr.out_channels = 64;
+    pr.out_h = pr.out_w = 14;
+    pr.kernel_h = pr.kernel_w = 3;
+    cases.push_back({ops::quantizedVariant(ops::makeConv2d(pr)),
+                     hw::xeonSilver4110()});
+    // The Mali dot units consume i8 (as in Fig. 8b).
+    cases.push_back(
+        {ops::quantizedVariant(ops::mobilenetV2Layers(1)[0]
+                                   .buildDepthwise(),
+                               DataType::I8, DataType::I8),
+         hw::maliG76()});
+
+    for (const auto &[comp, hw] : cases) {
+        auto plans = allPlans(comp, hw);
+        ASSERT_FALSE(plans.empty()) << comp.name() << " on " << hw.name;
+        for (const auto &plan : plans) {
+            auto prof = lowerKernel(plan, defaultSchedule(plan), hw);
+            for (std::size_t i = 0; i < plan.operands().size(); ++i) {
+                const auto &op = plan.operands()[i];
+                EXPECT_EQ(op.contiguousRun,
+                          referenceContiguousRun(plan, op))
+                    << comp.name() << " on " << hw.name << " "
+                    << plan.mapping().signature(comp) << " " << op.name;
+                EXPECT_EQ(prof.operands[i].contiguousRun,
+                          op.contiguousRun);
+            }
+        }
+    }
+}
+
+TEST(Profile, NonAffinePlanBuildsButDoesNotLower)
+{
+    // The constructor rejects non-affine accesses, so force one via
+    // the fuzz hook. The plan still builds (the execution tiers fall
+    // back to the interpreter on it); lowering names the operand.
+    auto gemm = ops::makeGemm(4, 4, 4);
+    auto plans = enumeratePlans(gemm, isa::wmmaTiny(), {});
+    ASSERT_EQ(plans.size(), 1u);
+    auto mutated = gemm.withMutatedInputIndex(
+        1, 0, floorDiv(gemm.iters()[2].var * 2, 2));
+    std::optional<MappingPlan> plan;
+    EXPECT_NO_THROW(plan.emplace(mutated, isa::wmmaTiny(),
+                                 plans[0].mapping()));
+    ASSERT_TRUE(plan.has_value());
+    EXPECT_GT(plan->operands()[0].contiguousRun, 0);
+    EXPECT_EQ(plan->operands()[1].contiguousRun, 0);
+    const std::string name = plan->operands()[1].name;
+    try {
+        lowerKernel(*plan, defaultSchedule(*plan), hw::v100());
+        ADD_FAILURE() << "lowerKernel accepted a non-affine access";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("operand " + name),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Profile, PaddingWasteFlowsThrough)

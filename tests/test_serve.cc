@@ -151,6 +151,26 @@ TEST(Protocol, RejectsMalformedRequests)
     EXPECT_THROW(CompileRequest::fromJson(Json::parse(
                      R"({"generations":0})")),
                  FatalError);
+    // A wrongly typed field names itself, whether a known knob or a
+    // dimension.
+    for (const auto &[text, field] :
+         std::vector<std::pair<std::string, std::string>>{
+             {R"({"m":"wide"})", "m"},
+             {R"({"seed":"x"})", "seed"},
+             {R"({"threads":[4]})", "threads"},
+             {R"({"op":3})", "op"},
+             {R"({"dtype":{}})", "dtype"},
+             {R"({"explain":"yes"})", "explain"}}) {
+        try {
+            CompileRequest::fromJson(Json::parse(text));
+            ADD_FAILURE() << text << " was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("field '" + field +
+                                                 "' must be a"),
+                      std::string::npos)
+                << text << " -> " << e.what();
+        }
+    }
 }
 
 TEST(Protocol, ResultJsonCarriesTheReportFields)
@@ -1030,6 +1050,57 @@ TEST(Server, BothLoopsAnswerEveryNonCompileLineAlike)
     EXPECT_EQ(failed, 7);
     EXPECT_EQ(streamed.stats().requests, 0u);
     EXPECT_EQ(replayed.stats().requests, 0u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Server, WronglyTypedFieldsAreNamedInBothLoops)
+{
+    // A field of the wrong JSON kind is the client's mistake: a
+    // bad_request naming the field, never an internal panic.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {R"({"type":"slowlog","id":"a","limit":"many"})",
+         "field 'limit' must be a number"},
+        {R"({"type":"flightdump","id":"b","path":7})",
+         "field 'path' must be a string"},
+        {R"({"type":"reload_model","id":"c","path":[1]})",
+         "field 'path' must be a string"},
+        {R"({"type":7,"id":"d"})", "field 'type' must be a string"},
+        {R"({"id":"e","op":"gemm","m":"wide"})",
+         "field 'm' must be a number"},
+        {R"({"id":"f","op":"gemm","hw":1})",
+         "field 'hw' must be a string"},
+        {R"({"id":"g","op":"gemm","generations":"all"})",
+         "field 'generations' must be a number"},
+        {R"({"id":"h","op":"gemm","deadline_ms":null})",
+         "field 'deadline_ms' must be a number"},
+        {R"({"id":"i","op":"gemm","warm_start":true})",
+         "field 'warm_start' must be a string"},
+    };
+    std::vector<std::string> lines;
+    for (const auto &c : cases)
+        lines.push_back(c.first);
+    auto dir = freshDiskDir("typed_fields");
+    ServeOptions options;
+    options.workers = 1;
+    CompileService streamed(options);
+    auto live = streamLines(streamed, lines);
+    CompileService replayed(options);
+    int failed = 0;
+    auto replay = replayLines(replayed, dir, lines, &failed);
+    EXPECT_EQ(failed, static_cast<int>(cases.size()));
+
+    ASSERT_EQ(live.size(), cases.size());
+    ASSERT_EQ(replay.size(), cases.size());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        EXPECT_EQ(live[i].dump(), replay[i].dump()) << cases[i].first;
+        const auto &err = live[i].get("error");
+        EXPECT_EQ(err.get("code").asString(), "bad_request");
+        const auto &message = err.get("message").asString();
+        EXPECT_NE(message.find(cases[i].second), std::string::npos)
+            << cases[i].first << " -> " << message;
+        EXPECT_EQ(message.find("panic"), std::string::npos) << message;
+    }
+    EXPECT_EQ(streamed.stats().requests, 0u);
     std::filesystem::remove_all(dir);
 }
 

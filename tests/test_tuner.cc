@@ -15,6 +15,7 @@
 #include "explore/trace_io.hh"
 #include "explore/tuner.hh"
 #include "hw/hardware.hh"
+#include "ops/conv_layers.hh"
 #include "ops/operators.hh"
 #include "schedule/profile.hh"
 
@@ -132,6 +133,60 @@ TEST(Tuner, ThreadCountInvariantForGemm)
         options.numThreads = threads;
         auto res = tune(gemm, hw, options);
         expectIdenticalResults(serial, res);
+    }
+}
+
+/** One pinned search outcome (see PinnedTrajectories). */
+struct TrajectoryGolden
+{
+    const char *name;
+    TensorComputation comp;
+    HardwareSpec hw;
+    double bestCycles;
+    int measurements;
+    std::size_t traceSize;
+    const char *mappingSignature;
+};
+
+TEST(Tuner, PinnedTrajectories)
+{
+    // Thread invariance cannot see a trajectory change that moves
+    // every thread count alike, so the outcome of four served shapes
+    // is pinned exactly: cycles, measurement count, trace length and
+    // winning mapping, at one and four threads.
+    ops::ConvParams quant;
+    quant.batch = 1;
+    quant.in_channels = 64;
+    quant.out_channels = 64;
+    quant.out_h = quant.out_w = 14;
+    quant.kernel_h = quant.kernel_w = 3;
+    const auto resnet = ops::resnet18ConvLayers(16);
+    const std::vector<TrajectoryGolden> goldens = {
+        {"resnet C0 v100", resnet[0].build(), hw::v100(),
+         160845.33103496302, 192, 186, "[p,q | k | c,r,s]"},
+        {"resnet C5 v100", resnet[5].build(), hw::v100(),
+         66091.386503067479, 198, 198, "[p,q | k | c,r,s]"},
+        {"gemm 512^3 v100", ops::makeGemm(512, 512, 512), hw::v100(),
+         11845.104294478528, 102, 102, "[i | j | k]"},
+        {"u8i8 conv xeon",
+         ops::quantizedVariant(ops::makeConv2d(quant)),
+         hw::xeonSilver4110(), 45774.284210526312, 106, 106,
+         "[k | c,r,s]"},
+    };
+    for (const auto &golden : goldens) {
+        for (int threads : {1, 4}) {
+            TuneOptions options;
+            options.generations = 4;
+            options.numThreads = threads;
+            auto result = tune(golden.comp, golden.hw, options);
+            SCOPED_TRACE(std::string(golden.name) + " at " +
+                         std::to_string(threads) + " threads");
+            EXPECT_EQ(result.bestCycles, golden.bestCycles);
+            EXPECT_EQ(result.measurements, golden.measurements);
+            EXPECT_EQ(result.trace.size(), golden.traceSize);
+            EXPECT_EQ(result.mappingSignature,
+                      golden.mappingSignature);
+        }
     }
 }
 
